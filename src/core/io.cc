@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 namespace maze {
@@ -153,6 +154,23 @@ StatusOr<EdgeList> ReadEdgeListBinary(const std::string& path) {
   if (header[0] != kBinaryMagic) {
     return Status::InvalidArgument("bad magic in " + path);
   }
+  // The header is untrusted: bound both counts before allocating or narrowing.
+  if (header[1] > std::numeric_limits<VertexId>::max()) {
+    return Status::OutOfRange("vertex count exceeds 32-bit ids in " + path);
+  }
+  if (std::fseek(f.get(), 0, SEEK_END) != 0) {
+    return Status::IoError("seek failed: " + path);
+  }
+  long file_bytes = std::ftell(f.get());
+  if (file_bytes < 0 ||
+      std::fseek(f.get(), sizeof(header), SEEK_SET) != 0) {
+    return Status::IoError("seek failed: " + path);
+  }
+  uint64_t body_bytes = static_cast<uint64_t>(file_bytes) - sizeof(header);
+  if (header[2] > body_bytes / sizeof(Edge)) {
+    return Status::IoError("edge array truncated (header count exceeds file "
+                           "size): " + path);
+  }
   EdgeList out;
   out.num_vertices = static_cast<VertexId>(header[1]);
   out.edges.resize(header[2]);
@@ -160,6 +178,11 @@ StatusOr<EdgeList> ReadEdgeListBinary(const std::string& path) {
       std::fread(out.edges.data(), sizeof(Edge), out.edges.size(), f.get()) !=
           out.edges.size()) {
     return Status::IoError("edge read failed: " + path);
+  }
+  VertexId max_id = 0;
+  for (const Edge& e : out.edges) max_id = std::max({max_id, e.src, e.dst});
+  if (!out.edges.empty() && max_id >= out.num_vertices) {
+    return Status::InvalidArgument("edge id beyond vertex count in " + path);
   }
   return out;
 }

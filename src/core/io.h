@@ -17,7 +17,9 @@ Status WriteEdgeListText(const EdgeList& edges, const std::string& path);
 // "# vertices: N" comment declares it.
 StatusOr<EdgeList> ReadEdgeListText(const std::string& path);
 
-// Binary format: magic, vertex count, edge count, raw edge array.
+// Binary format: magic, vertex count, edge count, raw edge array. Reading
+// rejects a header whose counts the file cannot hold or ids cannot represent,
+// and any edge id at or beyond the vertex count.
 Status WriteEdgeListBinary(const EdgeList& edges, const std::string& path);
 StatusOr<EdgeList> ReadEdgeListBinary(const std::string& path);
 

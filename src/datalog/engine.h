@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -33,6 +32,7 @@
 #include "rt/rank_exec.h"
 #include "rt/sim_clock.h"
 #include "util/check.h"
+#include "util/chunk_buffers.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -110,24 +110,35 @@ class Runtime {
 
 namespace internal {
 
+// Keys per block of a rank's body evaluation; each block emits into its own
+// buffer.
+inline constexpr uint64_t kKeyGrain = 32;
+
 // Shared body-evaluation machinery: runs `per_key` over the given keys of rank
-// p's shard in parallel, merging emitted head tuples into (acc, touched) and the
-// per-destination tuple counters. `merge_mu` guards (acc, touched); it is shared
-// across all ranks of a rule pass because rank bodies evaluate concurrently.
+// p's shard in parallel, each block of keys emitting into its own buffer, then
+// folds the buffers into (acc, touched) and the per-destination tuple counters
+// during rank p's turn. Rank bodies evaluate concurrently, but turns run in
+// rank order and blocks fold in key order, so every head aggregate is folded
+// rank-then-key whatever the pool width or rank schedule.
 template <typename V, typename Agg>
 void RunBodyForRank(
-    Runtime* rt, int p, const std::vector<int64_t>& keys, std::mutex* merge_mu,
+    Runtime* rt, int p, const std::vector<int64_t>& keys, rt::RankTurns* turns,
     std::vector<V>* acc, std::vector<bool>* touched,
     std::vector<uint64_t>* tuples_to,
     const std::function<void(int64_t key,
                              const std::function<void(int64_t, V)>& emit)>&
         per_key) {
-  ParallelFor(keys.size(), 32, [&](uint64_t lo, uint64_t hi) {
-    std::vector<std::pair<int64_t, V>> local;
-    auto emit = [&](int64_t key, V value) { local.emplace_back(key, value); };
+  using Tuple = std::pair<int64_t, V>;
+  ChunkBuffers<Tuple> tuples(keys.size(), kKeyGrain);
+  tuples.Fill([&](uint64_t lo, uint64_t hi, std::vector<Tuple>& out) {
+    const std::function<void(int64_t, V)> emit = [&out](int64_t key, V value) {
+      out.emplace_back(key, value);
+    };
     for (uint64_t i = lo; i < hi; ++i) per_key(keys[i], emit);
-    std::lock_guard<std::mutex> lock(*merge_mu);
-    for (auto& [key, value] : local) {
+  });
+  turns->Run(p, [&] {
+    tuples.ForEachInOrder([&](const Tuple& tuple) {
+      const auto& [key, value] = tuple;
       MAZE_DCHECK(key >= 0 && key < static_cast<int64_t>(acc->size()));
       if ((*touched)[key]) {
         (*acc)[key] = Agg::Apply((*acc)[key], value);
@@ -136,9 +147,8 @@ void RunBodyForRank(
         (*acc)[key] = value;
       }
       ++(*tuples_to)[rt->OwnerOf(key)];
-    }
+    });
   });
-  (void)p;
 }
 
 // Charges rank p's outbound tuple counters to the wire.
@@ -166,9 +176,9 @@ size_t EvaluateRule(
   std::vector<V> acc(head->size(), Agg::Identity());
   std::vector<bool> touched(head->size(), false);
 
-  // Rank shards evaluate concurrently, merging into the shared accumulator
-  // under one mutex (SociaLite's shared-memory aggregation step).
-  std::mutex merge_mu;
+  // Rank shards evaluate concurrently and merge into the shared accumulator
+  // one rank at a time (SociaLite's shared-memory aggregation step).
+  rt::RankTurns turns;
   rt::ForEachRank(ranks, [&](int p) {
     rt::RankTimer t;
     std::vector<int64_t> keys;
@@ -177,7 +187,7 @@ size_t EvaluateRule(
       keys.push_back(k);
     }
     std::vector<uint64_t> tuples_to(ranks, 0);
-    internal::RunBodyForRank<V, Agg>(rt, p, keys, &merge_mu, &acc, &touched,
+    internal::RunBodyForRank<V, Agg>(rt, p, keys, &turns, &acc, &touched,
                                      &tuples_to, per_key);
     internal::ChargeAll(rt, p, tuples_to, bytes_per_tuple);
     double seconds = t.Seconds();
@@ -218,17 +228,20 @@ int SemiNaiveFixpoint(
     std::vector<V> acc(head->size(), Agg::Identity());
     std::vector<bool> touched(head->size(), false);
 
-    std::mutex merge_mu;
+    rt::RankTurns turns;
     rt::ForEachRank(ranks, [&](int p) {
       std::vector<int64_t> mine;
       for (int64_t key : delta) {
         if (rt->OwnerOf(key) == p) mine.push_back(key);
       }
-      if (mine.empty()) return;
+      if (mine.empty()) {
+        turns.Run(p, [] {});  // later ranks wait for this turn
+        return;
+      }
       rt::RankTimer t;
       std::vector<uint64_t> tuples_to(ranks, 0);
       internal::RunBodyForRank<V, Agg>(
-          rt, p, mine, &merge_mu, &acc, &touched, &tuples_to,
+          rt, p, mine, &turns, &acc, &touched, &tuples_to,
           [&](int64_t key, const std::function<void(int64_t, V)>& emit) {
             expand(key, (*head)[key], emit);
           });

@@ -47,9 +47,12 @@ class Table {
   int64_t Int(size_t row, int col) const { return ints_[col][row]; }
   double Double(size_t row, int col) const { return doubles_[col][row]; }
 
-  // Sorts rows lexicographically by the int columns (stable for doubles) and
-  // builds the tail-nested index: key k's rows are [offset[k], offset[k+1]).
-  // Requires first-column keys in [0, key_space).
+  // Sorts rows lexicographically by the int columns, ties in insertion order
+  // (double columns move with their rows), and builds the tail-nested index:
+  // key k's rows are [offset[k], offset[k+1]). Requires first-column keys in
+  // [0, key_space). Linear time: a counting sort on column 0, then a stable sort
+  // of only those keys whose rows are out of order; a table appended from a
+  // sorted CSR is left in place.
   void TailNest(int64_t key_space);
 
   bool indexed() const { return indexed_; }

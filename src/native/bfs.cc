@@ -38,7 +38,7 @@ class VisitedSet {
 
   bool Test(VertexId v) const {
     return use_bitvector_
-               ? bits_.Test(v)
+               ? bits_.TestAtomic(v)
                : dist_[v].load(std::memory_order_relaxed) != kInfiniteDistance;
   }
 

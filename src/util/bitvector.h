@@ -14,7 +14,7 @@
 namespace maze {
 
 // Fixed-capacity bit set over ids [0, size). Thread-safe for concurrent SetAtomic /
-// Test; non-atomic mutators require external synchronization.
+// TestAtomic; Test and the non-atomic mutators require external synchronization.
 class Bitvector {
  public:
   Bitvector() = default;
@@ -34,6 +34,15 @@ class Bitvector {
   bool Test(size_t i) const {
     MAZE_DCHECK(i < size_);
     return (words_[i >> 6] >> (i & 63)) & 1u;
+  }
+
+  // Test for bits that other threads may be setting concurrently with
+  // TestAndSetAtomic (a relaxed load: same code as Test on x86).
+  bool TestAtomic(size_t i) const {
+    MAZE_DCHECK(i < size_);
+    // The words are never const objects; only this view of them is.
+    std::atomic_ref<uint64_t> word(const_cast<uint64_t&>(words_[i >> 6]));
+    return (word.load(std::memory_order_relaxed) >> (i & 63)) & 1u;
   }
 
   void Set(size_t i) {

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+
 #include "datalog/engine.h"
 #include "datalog/table.h"
 #include "native/cf.h"
 #include "native/reference.h"
+#include "rt/rank_exec.h"
 #include "tests/test_graphs.h"
+#include "util/prng.h"
+#include "util/thread_pool.h"
 
 namespace maze::datalog {
 namespace {
@@ -83,6 +90,105 @@ TEST(TableTest, ContainsPair) {
   EXPECT_FALSE(t.ContainsPair(1, 2));
   EXPECT_FALSE(t.ContainsPair(-1, 2));
   EXPECT_FALSE(t.ContainsPair(7, 2));
+}
+
+// TailNest must produce exactly the permutation of a stable sort over all int
+// columns, with double columns moved alongside and the index matching the
+// per-key row counts.
+void ExpectTailNestMatchesStableSort(int int_cols, int double_cols,
+                                     const std::vector<std::vector<int64_t>>& ints,
+                                     const std::vector<std::vector<double>>& doubles,
+                                     int64_t key_space) {
+  const size_t n = ints.empty() ? 0 : ints[0].size();
+  Table t("T", int_cols, double_cols);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<int64_t> row(int_cols);
+    std::vector<double> vals(double_cols);
+    for (int c = 0; c < int_cols; ++c) row[c] = ints[c][i];
+    for (int c = 0; c < double_cols; ++c) vals[c] = doubles[c][i];
+    t.AppendRow(row, vals);
+  }
+  t.TailNest(key_space);
+
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    for (int c = 0; c < int_cols; ++c) {
+      if (ints[c][a] != ints[c][b]) return ints[c][a] < ints[c][b];
+    }
+    return false;
+  });
+  ASSERT_EQ(t.num_rows(), n);
+  for (size_t i = 0; i < n; ++i) {
+    for (int c = 0; c < int_cols; ++c) {
+      ASSERT_EQ(t.Int(i, c), ints[c][order[i]]) << "row " << i << " col " << c;
+    }
+    for (int c = 0; c < double_cols; ++c) {
+      double got = t.Double(i, c);
+      double want = doubles[c][order[i]];
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "row " << i << " double col " << c;
+    }
+  }
+  size_t expected_begin = 0;
+  for (int64_t k = 0; k < key_space; ++k) {
+    size_t count = static_cast<size_t>(
+        std::count(ints[0].begin(), ints[0].end(), k));
+    auto [b, e] = t.Rows(k);
+    ASSERT_EQ(b, expected_begin) << "key " << k;
+    ASSERT_EQ(e, expected_begin + count) << "key " << k;
+    expected_begin = e;
+  }
+  EXPECT_EQ(expected_begin, n);
+}
+
+TEST(TableTest, TailNestEmptyTable) {
+  ExpectTailNestMatchesStableSort(2, 1, {{}, {}}, {{}}, 4);
+  ExpectTailNestMatchesStableSort(1, 0, {{}}, {}, 0);
+}
+
+TEST(TableTest, TailNestMatchesStableSortOnRandomTables) {
+  Xorshift64Star rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int int_cols = 1 + static_cast<int>(rng.NextBounded(3));
+    const int double_cols = static_cast<int>(rng.NextBounded(3));
+    // Keys well below key_space leave trailing keys empty; a small value
+    // range forces duplicate rows and equal tails.
+    const int64_t key_space = 1 + static_cast<int64_t>(rng.NextBounded(20));
+    const int64_t used_keys =
+        1 + static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(key_space)));
+    const size_t n = rng.NextBounded(60);
+    std::vector<std::vector<int64_t>> ints(int_cols, std::vector<int64_t>(n));
+    std::vector<std::vector<double>> doubles(double_cols, std::vector<double>(n));
+    for (size_t i = 0; i < n; ++i) {
+      ints[0][i] = static_cast<int64_t>(rng.NextBounded(used_keys));
+      for (int c = 1; c < int_cols; ++c) {
+        ints[c][i] = static_cast<int64_t>(rng.NextBounded(4)) - 1;
+      }
+      for (int c = 0; c < double_cols; ++c) doubles[c][i] = rng.NextDouble();
+    }
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ExpectTailNestMatchesStableSort(int_cols, double_cols, ints, doubles,
+                                    key_space);
+  }
+}
+
+TEST(TableTest, TailNestSortedInputStaysInPlace) {
+  // Rows appended from a CSR: keys ascending, tails ascending, a duplicate row
+  // and empty keys in the middle and at the end (the identity fast path).
+  std::vector<std::vector<int64_t>> ints = {{0, 0, 0, 2, 2, 3},
+                                            {1, 4, 4, 0, 9, 2}};
+  std::vector<std::vector<double>> doubles = {{0.5, 1.5, 2.5, 3.5, 4.5, 5.5}};
+  ExpectTailNestMatchesStableSort(2, 1, ints, doubles, 6);
+}
+
+TEST(TableTest, TailNestSortsUnsortedTailsOfSortedKeys) {
+  // Keys already grouped, but one key's tail is out of order: only the
+  // within-key stable sort moves rows, and duplicates keep insertion order.
+  std::vector<std::vector<int64_t>> ints = {{0, 1, 1, 1, 1, 2},
+                                            {3, 9, 2, 9, 2, 0}};
+  std::vector<std::vector<double>> doubles = {{0, 1, 2, 3, 4, 5}};
+  ExpectTailNestMatchesStableSort(2, 1, ints, doubles, 3);
 }
 
 // --- Engine ----------------------------------------------------------------------
@@ -172,6 +278,53 @@ TEST_P(DataliteRanksTest, TriangleCountMatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, DataliteRanksTest, ::testing::Values(1, 2, 4));
+
+// Rule merges fold rank-then-key under RankTurns, so PageRank and BFS at 4
+// ranks must give the same bytes under any pool width and rank schedule.
+TEST(DataliteDeterminismTest, OutputsIndependentOfPoolWidthAndSchedule) {
+  // Generate the inputs once: the RMAT generator itself is not yet
+  // width-independent.
+  const Graph pr_graph = Graph::FromEdges(SmallRmat(11), GraphDirections::kOutOnly);
+  const Graph bfs_graph =
+      Graph::FromEdges(SmallRmatUndirected(11), GraphDirections::kOutOnly);
+  rt::PageRankOptions pr_opt;
+  pr_opt.iterations = 4;
+
+  struct Output {
+    std::vector<double> ranks;
+    std::vector<uint32_t> distance;
+    uint64_t bytes_sent = 0;
+  };
+  std::vector<Output> outputs;
+  for (unsigned width : {1u, 4u}) {
+    ThreadPool::Default().Resize(width);
+    for (int serial : {0, 1}) {
+      rt::SetSerialRanks(serial);
+      Output out;
+      auto pr = PageRank(pr_graph, pr_opt, Config(4));
+      auto bfs = Bfs(bfs_graph, rt::BfsOptions{1}, Config(4));
+      out.ranks = std::move(pr.ranks);
+      out.distance = std::move(bfs.distance);
+      out.bytes_sent = pr.metrics.bytes_sent + bfs.metrics.bytes_sent;
+      outputs.push_back(std::move(out));
+    }
+  }
+  rt::SetSerialRanks(-1);
+  ThreadPool::Default().Resize(0);
+
+  const Output& first = outputs[0];
+  ASSERT_FALSE(first.ranks.empty());
+  for (size_t i = 1; i < outputs.size(); ++i) {
+    const Output& other = outputs[i];
+    ASSERT_EQ(other.ranks.size(), first.ranks.size());
+    EXPECT_EQ(std::memcmp(other.ranks.data(), first.ranks.data(),
+                          first.ranks.size() * sizeof(double)),
+              0)
+        << "PageRank bytes differ in run " << i;
+    EXPECT_EQ(other.distance, first.distance) << "BFS differs in run " << i;
+    EXPECT_EQ(other.bytes_sent, first.bytes_sent) << "wire bytes differ in run " << i;
+  }
+}
 
 TEST(DataliteCfTest, GdMatchesNativeGd) {
   BipartiteGraph g = testgraphs::SmallRatings(9).ToGraph();

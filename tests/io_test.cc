@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,62 @@ TEST(IoTest, BadMagicRejected) {
   uint64_t garbage[3] = {0x1234, 5, 0};
   fwrite(garbage, sizeof(garbage), 1, f);
   fclose(f);
+  auto result = ReadEdgeListBinary(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+// Writes a binary edge-list file with the given header and raw edge words.
+void WriteRawBinary(const std::string& path, uint64_t num_vertices,
+                    uint64_t num_edges, const std::vector<uint32_t>& words) {
+  FILE* f = fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  uint64_t header[3] = {0x4D415A4547524146ull, num_vertices, num_edges};
+  fwrite(header, sizeof(header), 1, f);
+  if (!words.empty()) fwrite(words.data(), sizeof(uint32_t), words.size(), f);
+  fclose(f);
+}
+
+TEST(IoTest, BinaryTruncatedBodyRejected) {
+  std::string path = TempPath("truncated.bin");
+  ASSERT_TRUE(WriteEdgeListBinary(SampleEdges(), path).ok());
+  // Cut the last edge in half.
+  FILE* f = fopen(path.c_str(), "rb");
+  std::vector<char> bytes(24 + 4 * 8);
+  ASSERT_EQ(fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  fclose(f);
+  f = fopen(path.c_str(), "wb");
+  fwrite(bytes.data(), 1, bytes.size() - 4, f);
+  fclose(f);
+  auto result = ReadEdgeListBinary(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, BinaryOversizedEdgeCountRejected) {
+  // A count the file cannot hold must fail before any allocation.
+  std::string path = TempPath("oversized_edges.bin");
+  WriteRawBinary(path, 4, uint64_t{1} << 60, {0, 1});
+  auto result = ReadEdgeListBinary(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, BinaryOversizedVertexCountRejected) {
+  std::string path = TempPath("oversized_vertices.bin");
+  WriteRawBinary(path, uint64_t{1} << 32, 1, {0, 1});
+  auto result = ReadEdgeListBinary(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, BinaryEdgeIdOutOfRangeRejected) {
+  std::string path = TempPath("bad_id.bin");
+  WriteRawBinary(path, 3, 2, {0, 1, 2, 3});  // Edge (2, 3) with 3 vertices.
   auto result = ReadEdgeListBinary(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);

@@ -31,6 +31,14 @@ int RanksFor(EngineKind engine) {
   return engine == EngineKind::kTaskflow ? 1 : 16;
 }
 
+// Engines that still fold some per-chunk outputs under a mutex in the order
+// chunks finish, so their double sums may differ in the last bits between
+// schedules. Every other engine folds in a fixed order and must match exactly.
+bool FoldsInCompletionOrder(EngineKind engine) {
+  return engine == EngineKind::kNative || engine == EngineKind::kVertexlab ||
+         engine == EngineKind::kMatblas || engine == EngineKind::kBspgraph;
+}
+
 class RankParallelTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   void TearDown() override { rt::SetSerialRanks(-1); }
@@ -54,12 +62,13 @@ TEST_P(RankParallelTest, PageRankMatchesSerialSchedule) {
   auto parallel = RunPageRank(engine, el, opt, config);
 
   ASSERT_EQ(parallel.ranks.size(), serial.ranks.size());
-  for (size_t v = 0; v < serial.ranks.size(); ++v) {
-    // datalite merges concurrent rank shards into one accumulator, so double
-    // addition order may differ; everything else is bit-identical, but one
-    // tolerance keeps the assertion uniform.
-    ASSERT_NEAR(parallel.ranks[v], serial.ranks[v], 1e-9)
-        << EngineName(engine) << " vertex " << v;
+  if (FoldsInCompletionOrder(engine)) {
+    for (size_t v = 0; v < serial.ranks.size(); ++v) {
+      ASSERT_NEAR(parallel.ranks[v], serial.ranks[v], 1e-9)
+          << EngineName(engine) << " vertex " << v;
+    }
+  } else {
+    EXPECT_EQ(parallel.ranks, serial.ranks) << EngineName(engine);
   }
   EXPECT_EQ(parallel.iterations, serial.iterations);
   EXPECT_EQ(parallel.metrics.bytes_sent, serial.metrics.bytes_sent);

@@ -1,11 +1,14 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/chunk_buffers.h"
 
 namespace maze {
 namespace {
@@ -191,6 +194,33 @@ TEST(ThreadPoolTest, DefaultPoolIsUsable) {
   });
   EXPECT_EQ(sum.load(), 10000u);
   EXPECT_GE(ThreadPool::Default().num_threads(), 1u);
+}
+
+// Blocks are fixed by (n, grain), not by the pool's split: a worker-less pool
+// runs the loop as one call, which Fill still hands out block by block. The
+// fold then visits elements in index order at any width.
+TEST(ChunkBuffersTest, BlocksFollowGrainAndFoldInIndexOrder) {
+  constexpr uint64_t kN = 1000;
+  constexpr uint64_t kGrain = 7;
+  std::vector<uint64_t> expected(kN);
+  std::iota(expected.begin(), expected.end(), 0);
+  for (unsigned width : {1u, 4u}) {
+    ThreadPool::Default().Resize(width);
+    ChunkBuffers<uint64_t> buffers(kN, kGrain);
+    std::atomic<uint64_t> blocks{0};
+    buffers.Fill([&](uint64_t lo, uint64_t hi, std::vector<uint64_t>& out) {
+      EXPECT_EQ(lo % kGrain, 0u);
+      EXPECT_EQ(hi, std::min(kN, lo + kGrain));
+      EXPECT_TRUE(out.empty());
+      blocks.fetch_add(1);
+      for (uint64_t i = lo; i < hi; ++i) out.push_back(i);
+    });
+    EXPECT_EQ(blocks.load(), (kN + kGrain - 1) / kGrain) << "width " << width;
+    std::vector<uint64_t> seen;
+    buffers.ForEachInOrder([&](uint64_t x) { seen.push_back(x); });
+    EXPECT_EQ(seen, expected) << "width " << width;
+  }
+  ThreadPool::Default().Resize(0);
 }
 
 }  // namespace
