@@ -1,19 +1,17 @@
-// PR 7 artifact: measured (host wall-clock) before/after for the hot-path
-// work of DESIGN.md §4f, with a regression gate.
+// Measured (host wall-clock) before/after for the bspgraph message hot path of
+// DESIGN.md §4f, with a regression gate.
 //
 //   1. Boxed-message churn: heap unique_ptr-per-message vs the
 //      util::FreeListPool arena, ns/message.
 //   2. bspgraph PageRank end-to-end with MAZE_BSP_ARENA off/on — wall seconds
 //      plus the allocation counters (the arena must collapse per-message heap
 //      allocations by >= 10x), with byte-identical results.
-//   3. Native PageRank and matblas SpMV with MAZE_NATIVE_OPT off/on — ns/edge
-//      for the cache-blocked/branch-lean kernels, with byte-identical results.
 //
 // Writes BENCH_hotpath.json (MAZE_BENCH_JSON overrides the path) and exits
 // non-zero if any equality self-check fails, the allocation ratio is < 10, or
-// an opt variant regresses past MAZE_HOTPATH_TOL (default 1.10: "opt may not
-// be more than 10% slower than base" — improvement is the expected reading,
-// the tolerance absorbs timer noise on small CI inputs).
+// the arena regresses past MAZE_HOTPATH_TOL (default 1.10: "arena-on may not
+// be more than 10% slower than arena-off" — improvement is the expected
+// reading, the tolerance absorbs timer noise on small CI inputs).
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -24,11 +22,8 @@
 #include "bench/bench_common.h"
 #include "bsp/algorithms.h"
 #include "core/graph.h"
-#include "matrix/algorithms.h"
-#include "native/blocked_gather.h"
-#include "native/options.h"
-#include "native/pagerank.h"
 #include "util/freelist.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace maze::bench {
@@ -36,9 +31,9 @@ namespace {
 
 struct Variant {
   std::string name;
-  double base_ns = 0;   // ns per unit (message or edge), baseline.
-  double opt_ns = 0;    // ns per unit, optimized path.
-  const char* unit = "edge";
+  double base_ns = 0;   // ns per message, baseline.
+  double opt_ns = 0;    // ns per message, optimized path.
+  const char* unit = "message";
   // Gated variants must satisfy opt <= base * tol. The raw allocator
   // primitive is reported but not gated: single-threaded, glibc's tcache
   // (no atomics) legitimately beats a striped spinlocked pool on primitive
@@ -77,7 +72,6 @@ Variant ChurnVariant() {
   box.reserve(kBatch);
 
   Variant v{"allocator_primitive"};
-  v.unit = "message";
   v.gated = false;
   v.base_ns = 1e9 / total * BestSeconds(3, [&] {
     for (int round = 0; round < kRounds; ++round) {
@@ -100,10 +94,9 @@ Variant ChurnVariant() {
 }
 
 int Main() {
-  Banner("BENCH_hotpath: arena allocator + cache-blocked kernels (PR 7 gate)");
+  Banner("BENCH_hotpath: bspgraph message arena gate");
   const unsigned host_cores = std::thread::hardware_concurrency();
-  const size_t window = native::GatherWindowVertices(sizeof(double));
-  const int scale = 21 + ScaleAdjust();
+  const unsigned pool_threads = ThreadPool::Default().num_threads();
   const int bsp_scale = 16 + ScaleAdjust(2);  // Boxed messages are expensive.
   const char* tol_env = std::getenv("MAZE_HOTPATH_TOL");
   const double tol = tol_env != nullptr ? std::atof(tol_env) : 1.10;
@@ -134,7 +127,6 @@ int Main() {
   bsp::SetArenaEnabled(0);
   bsp::ResetArenaCounters();
   Variant bsp_v{"bsp_message_churn"};  // End-to-end bspgraph PageRank.
-  bsp_v.unit = "message";
   bsp_v.base_ns = 1e9 / bsp_messages * BestSeconds(2, [&] {
     heap_result = bsp::PageRank(bsp_graph, bsp_opt, bsp_config);
   });
@@ -168,52 +160,6 @@ int Main() {
     fail("arena allocation-collapse ratio < 10x");
   }
 
-  // --- 3. Native PageRank + matblas SpMV, opt off/on --------------------------
-  EdgeList edges = GenerateRmat(RmatParams::Graph500(scale, 16));
-  edges.Deduplicate();
-  Graph graph = Graph::FromEdges(edges, GraphDirections::kBoth);
-  rt::PageRankOptions pr_opt;
-  pr_opt.iterations = 5;
-  rt::EngineConfig native_config;  // 1 rank: the pure kernel measurement.
-  const double native_edges =
-      static_cast<double>(graph.num_edges()) * pr_opt.iterations;
-
-  rt::PageRankResult native_base, native_fast;
-  native::SetNativeOptForTesting(0);
-  Variant native_v{"native_pagerank"};
-  native_v.base_ns = 1e9 / native_edges * BestSeconds(3, [&] {
-    native_base = native::PageRank(graph, pr_opt, native_config,
-                                   native::NativeOptions::AllOn());
-  });
-  native::SetNativeOptForTesting(1);
-  native_v.opt_ns = 1e9 / native_edges * BestSeconds(3, [&] {
-    native_fast = native::PageRank(graph, pr_opt, native_config,
-                                   native::NativeOptions::AllOn());
-  });
-  variants.push_back(native_v);
-  if (!BitIdentical(native_base.ranks, native_fast.ranks)) {
-    fail("native PageRank results differ between opt off/on");
-  }
-
-  rt::PageRankResult matrix_base, matrix_fast;
-  rt::EngineConfig matrix_config;
-  matrix_config.num_ranks = 4;
-  matrix_config.comm = matrix::DefaultComm();
-  native::SetNativeOptForTesting(0);
-  Variant matrix_v{"matrix_spmv_pagerank"};
-  matrix_v.base_ns = 1e9 / native_edges * BestSeconds(3, [&] {
-    matrix_base = matrix::PageRank(edges, pr_opt, matrix_config);
-  });
-  native::SetNativeOptForTesting(1);
-  matrix_v.opt_ns = 1e9 / native_edges * BestSeconds(3, [&] {
-    matrix_fast = matrix::PageRank(edges, pr_opt, matrix_config);
-  });
-  native::SetNativeOptForTesting(-1);
-  variants.push_back(matrix_v);
-  if (!BitIdentical(matrix_base.ranks, matrix_fast.ranks)) {
-    fail("matblas SpMV PageRank results differ between opt off/on");
-  }
-
   // --- Regression gate --------------------------------------------------------
   for (const Variant& v : variants) {
     if (v.gated && v.opt_ns > v.base_ns * tol) {
@@ -225,8 +171,8 @@ int Main() {
     }
   }
 
-  std::printf("host cores %u, gather window %zu vertices, tol %.2fx\n",
-              host_cores, window, tol);
+  std::printf("host cores %u, pool threads %u, tol %.2fx\n", host_cores,
+              pool_threads, tol);
   std::printf("%-22s %12s %12s %9s\n", "variant", "base", "opt", "speedup");
   for (const Variant& v : variants) {
     std::printf("%-22s %9.2f/%-3s %9.2f/%-3s %8.2fx\n", v.name.c_str(),
@@ -251,7 +197,7 @@ int Main() {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"hotpath\",\n");
   std::fprintf(f, "  \"host_cores\": %u,\n", host_cores);
-  std::fprintf(f, "  \"gather_window_vertices\": %zu,\n", window);
+  std::fprintf(f, "  \"pool_threads\": %u,\n", pool_threads);
   std::fprintf(f, "  \"scale_adjust\": %d,\n", ScaleAdjust());
   std::fprintf(f, "  \"tolerance\": %.3f,\n", tol);
   std::fprintf(f, "  \"variants\": [\n");

@@ -8,17 +8,14 @@
 
 #include "matrix/dist_matrix.h"
 #include "matrix/semiring.h"
-#include "native/blocked_gather.h"
 #include "native/cc.h"
 #include "native/cf.h"
-#include "native/options.h"
 #include "obs/obs.h"
 #include "rt/rank_exec.h"
 #include "rt/sim_clock.h"
 #include "util/bitvector.h"
 #include "util/codec.h"
 #include "util/check.h"
-#include "util/prefetch.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -28,84 +25,6 @@ namespace {
 // Dense-vector broadcast along grid columns + partial-result reduction along grid
 // rows: the per-iteration communication skeleton of a 2-D SpMV. `per_row_bytes`
 // is the wire size of one vector element.
-// MAZE_NATIVE_OPT tile SpMV (DESIGN.md §4f): accumulate the tile into a
-// per-grid-row scratch vector, visiting the tile's sorted sources one
-// L2-sized column window at a time (the prebuilt GatherBlocks plan), then add
-// the tile total to y in one pass. The FP grouping is identical to the plain
-// loop — each row's tile partial starts at Zero, edges add in sorted order,
-// and y[row] += partial happens once per tile — so results stay bit-identical
-// (x * 1.0 in the PlusTimes semiring is exact).
-void SpmvTileOpt(const Tile& tile, const native::GatherBlocks& gb,
-                 const double* contrib, std::vector<double>* scratch,
-                 double* y) {
-  const EdgeId* off = tile.offsets.data();
-  const VertexId* src = tile.sources.data();
-  // Prefetch only pays when the tile's gathered contrib slice spills L2;
-  // below that the loads already hit and the prefetches are pure overhead.
-  const bool pf = static_cast<size_t>(tile.col_end - tile.col_begin) *
-                      sizeof(double) >
-                  native::InnerCacheBytes();
-  if (!gb.active()) {
-    if (!pf) {
-      // Tile fits L2: the tightest possible gather loop, no prefetch branch.
-      ParallelFor(tile.num_rows(), 256, [&](uint64_t lo, uint64_t hi) {
-        for (VertexId r = static_cast<VertexId>(lo); r < hi; ++r) {
-          double sum = 0.0;
-          for (EdgeId e = off[r], e_end = off[r + 1]; e < e_end; ++e) {
-            sum += contrib[src[e]];
-          }
-          y[tile.row_begin + r] += sum;
-        }
-      });
-      return;
-    }
-    ParallelFor(tile.num_rows(), 256, [&](uint64_t lo, uint64_t hi) {
-      for (VertexId r = static_cast<VertexId>(lo); r < hi; ++r) {
-        double sum = 0.0;
-        EdgeId e = off[r];
-        const EdgeId e_end = off[r + 1];
-        if (e_end - e > static_cast<EdgeId>(kPrefetchDistance)) {
-          EdgeId main_end = e_end - kPrefetchDistance;
-          for (; e < main_end; ++e) {
-            PrefetchRead(&contrib[src[e + kPrefetchDistance]]);
-            sum += contrib[src[e]];
-          }
-        }
-        for (; e < e_end; ++e) sum += contrib[src[e]];
-        y[tile.row_begin + r] += sum;
-      }
-    });
-    return;
-  }
-  scratch->assign(tile.num_rows(), 0.0);
-  double* sc = scratch->data();
-  for (int b = 0; b < gb.num_blocks; ++b) {
-    const size_t s_begin = gb.seg_off[b];
-    const size_t s_end = gb.seg_off[b + 1];
-    ParallelFor(s_end - s_begin, 64, [&](uint64_t lo, uint64_t hi) {
-      for (size_t s = s_begin + lo; s < s_begin + hi; ++s) {
-        double sum = sc[gb.seg_row[s]];
-        EdgeId e = gb.seg_begin[s];
-        const EdgeId e_end = gb.seg_end[s];
-        if (pf && e_end - e > static_cast<EdgeId>(kPrefetchDistance)) {
-          EdgeId main_end = e_end - kPrefetchDistance;
-          for (; e < main_end; ++e) {
-            PrefetchRead(&contrib[src[e + kPrefetchDistance]]);
-            sum += contrib[src[e]];
-          }
-        }
-        for (; e < e_end; ++e) sum += contrib[src[e]];
-        sc[gb.seg_row[s]] = sum;
-      }
-    });
-  }
-  ParallelFor(tile.num_rows(), 4096, [&](uint64_t lo, uint64_t hi) {
-    for (VertexId r = static_cast<VertexId>(lo); r < hi; ++r) {
-      y[tile.row_begin + r] += sc[r];
-    }
-  });
-}
-
 void ChargeSpmvComm(const DistMatrix& m, rt::SimClock* clock,
                     double per_element_bytes) {
   int side = m.grid().side;
@@ -142,23 +61,6 @@ rt::PageRankResult PageRank(const EdgeList& edges,
   std::vector<double> contrib(n, 0.0);
   std::vector<double> y(n, 0.0);
 
-  // MAZE_NATIVE_OPT: per-tile column-blocking plans (static across
-  // iterations) and one scratch vector per grid row — grid rows run
-  // concurrently, and within a row tiles are applied serially, so one scratch
-  // per row suffices.
-  const bool opt = native::NativeOptEnabled();
-  std::vector<native::GatherBlocks> tile_blocks(opt ? m.num_ranks() : 0);
-  std::vector<std::vector<double>> scratch(opt ? m.grid().side : 0);
-  if (opt) {
-    size_t window = native::GatherWindowVertices(sizeof(double));
-    for (int rank = 0; rank < m.num_ranks(); ++rank) {
-      const Tile& tile = m.tile(rank);
-      tile_blocks[rank] = native::GatherBlocks::Build(
-          tile.offsets.data(), tile.sources.data(), 0, tile.num_rows(),
-          tile.col_begin, tile.col_end, window);
-    }
-  }
-
   using SR = PlusTimes<double>;
   for (int iter = 0; iter < options.iterations; ++iter) {
     // Dense op on the diagonal ranks: contrib = pr ./ d. Diagonal ranks own
@@ -192,20 +94,15 @@ rt::PageRankResult PageRank(const EdgeList& edges,
         int rank = m.grid().RankOf(i, j);
         const Tile& tile = m.tile(rank);
         rt::RankTimer t;
-        if (opt) {
-          SpmvTileOpt(tile, tile_blocks[rank], contrib.data(), &scratch[i],
-                      y.data());
-        } else {
-          ParallelFor(tile.num_rows(), 256, [&](uint64_t lo, uint64_t hi) {
-            for (VertexId r = static_cast<VertexId>(lo); r < hi; ++r) {
-              double sum = SR::Zero();
-              for (EdgeId e = tile.offsets[r]; e < tile.offsets[r + 1]; ++e) {
-                sum = SR::Add(sum, SR::Multiply(contrib[tile.sources[e]], 1.0));
-              }
-              y[tile.row_begin + r] += sum;
+        ParallelFor(tile.num_rows(), 256, [&](uint64_t lo, uint64_t hi) {
+          for (VertexId r = static_cast<VertexId>(lo); r < hi; ++r) {
+            double sum = SR::Zero();
+            for (EdgeId e = tile.offsets[r]; e < tile.offsets[r + 1]; ++e) {
+              sum = SR::Add(sum, SR::Multiply(contrib[tile.sources[e]], 1.0));
             }
-          });
-        }
+            y[tile.row_begin + r] += sum;
+          }
+        });
         double seconds = t.Seconds();
         clock.RecordCompute(rank, seconds);
         obs::EmitSpanEndingNow("spmv", "matblas", rank, iter, seconds);

@@ -40,18 +40,6 @@ struct NativeOptions {
   }
 };
 
-// --- Measured hot-path toggle (DESIGN.md §4f) --------------------------------
-// Unlike the modeled ablation flags above, MAZE_NATIVE_OPT switches *host-side*
-// implementations: cache-blocked, branch-lean, prefetch-friendly PageRank /
-// SpMV inner loops that produce bit-identical results to the plain loops
-// (same FP addition order — differentially tested). Default off so the plain
-// loops stay the reference; bench_hotpath measures both sides.
-
-// True when MAZE_NATIVE_OPT=1 (or a test forced a value).
-bool NativeOptEnabled();
-// 1/0 forces the opt path on/off; -1 restores the env.
-void SetNativeOptForTesting(int force);
-
 }  // namespace maze::native
 
 #endif  // MAZE_NATIVE_OPTIONS_H_

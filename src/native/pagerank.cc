@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "native/blocked_gather.h"
 #include "obs/obs.h"
 #include "rt/partition.h"
 #include "rt/rank_exec.h"
@@ -18,48 +17,13 @@
 namespace maze::native {
 namespace {
 
-// One gather pass over the rank's in-CSR slice: new_pr[v] = jump + (1-jump) *
-// sum(contrib[u]). The contrib array is shared; remote reads are what the wire
-// accounting below charges for.
-void GatherRange(const Graph& g, VertexId begin, VertexId end, double jump,
-                 const std::vector<double>& contrib, std::vector<double>* new_pr,
-                 bool prefetch) {
-  const auto& offsets = g.in_offsets();
-  const auto& targets = g.in_targets();
-  ParallelFor(end - begin, 256, [&](uint64_t lo, uint64_t hi) {
-    for (VertexId v = begin + static_cast<VertexId>(lo);
-         v < begin + static_cast<VertexId>(hi); ++v) {
-      double sum = 0;
-      EdgeId e_begin = offsets[v];
-      EdgeId e_end = offsets[v + 1];
-      if (prefetch && e_end - e_begin > kPrefetchDistance) {
-        // Split loop: the main body prefetches unconditionally (no per-edge
-        // bounds check), the tail runs plain.
-        EdgeId main_end = e_end - kPrefetchDistance;
-        EdgeId e = e_begin;
-        for (; e < main_end; ++e) {
-          PrefetchRead(&contrib[targets[e + kPrefetchDistance]]);
-          sum += contrib[targets[e]];
-        }
-        for (; e < e_end; ++e) {
-          sum += contrib[targets[e]];
-        }
-      } else {
-        for (EdgeId e = e_begin; e < e_end; ++e) {
-          sum += contrib[targets[e]];
-        }
-      }
-      (*new_pr)[v] = jump + (1.0 - jump) * sum;
-    }
-  });
-}
-
 // Branch-lean edge-run accumulation off raw pointers: the split main loop
 // prefetches unconditionally and carries no per-edge bounds check, so the
-// compiler can unroll/vectorize the gather address stream.
+// compiler can unroll the gather address stream. The sum runs in edge order
+// from 0.0, the same FP addition sequence as a plain row loop.
 inline double AccumulateRun(const VertexId* targets, const double* contrib,
-                            EdgeId e, EdgeId e_end, double sum,
-                            bool prefetch) {
+                            EdgeId e, EdgeId e_end, bool prefetch) {
+  double sum = 0.0;
   if (prefetch && e_end - e > static_cast<EdgeId>(kPrefetchDistance)) {
     EdgeId main_end = e_end - kPrefetchDistance;
     for (; e < main_end; ++e) {
@@ -73,52 +37,22 @@ inline double AccumulateRun(const VertexId* targets, const double* contrib,
   return sum;
 }
 
-// MAZE_NATIVE_OPT gather (DESIGN.md §4f): same FP addition sequence as
-// GatherRange — identical per-row edge order, running accumulator from 0.0,
-// one final jump + (1-jump)*sum — so results are bit-identical. What changes
-// is the memory schedule: with a blocking plan, edges are visited one
-// contrib[] source window at a time so the window stays L2-resident.
-void GatherRangeOpt(const Graph& g, VertexId begin, VertexId end, double jump,
-                    const std::vector<double>& contrib,
-                    std::vector<double>* new_pr, bool prefetch,
-                    const GatherBlocks& blocks) {
+// One gather pass over the rank's in-CSR slice: new_pr[v] = jump + (1-jump) *
+// sum(contrib[u]). The contrib array is shared; remote reads are what the wire
+// accounting below charges for.
+void GatherRange(const Graph& g, VertexId begin, VertexId end, double jump,
+                 const std::vector<double>& contrib, std::vector<double>* new_pr,
+                 bool prefetch) {
   const EdgeId* offsets = g.in_offsets().data();
   const VertexId* targets = g.in_targets().data();
   const double* c = contrib.data();
   double* out = new_pr->data();
-  if (!blocks.active()) {
-    ParallelFor(end - begin, 256, [&](uint64_t lo, uint64_t hi) {
-      for (VertexId v = begin + static_cast<VertexId>(lo);
-           v < begin + static_cast<VertexId>(hi); ++v) {
-        double sum = AccumulateRun(targets, c, offsets[v], offsets[v + 1], 0.0,
-                                   prefetch);
-        out[v] = jump + (1.0 - jump) * sum;
-      }
-    });
-    return;
-  }
-  // Accumulate in new_pr itself: zero, drain the windows in ascending order
-  // (each row's running sum picks up where the previous window left it), then
-  // finalize. Rows are distinct within a window, so the per-window segment
-  // list parallelizes race-free.
-  ParallelFor(end - begin, 4096, [&](uint64_t lo, uint64_t hi) {
-    std::fill(out + begin + lo, out + begin + hi, 0.0);
-  });
-  for (int b = 0; b < blocks.num_blocks; ++b) {
-    const size_t s_begin = blocks.seg_off[b];
-    const size_t s_end = blocks.seg_off[b + 1];
-    ParallelFor(s_end - s_begin, 64, [&](uint64_t lo, uint64_t hi) {
-      for (size_t s = s_begin + lo; s < s_begin + hi; ++s) {
-        VertexId v = begin + blocks.seg_row[s];
-        out[v] = AccumulateRun(targets, c, blocks.seg_begin[s],
-                               blocks.seg_end[s], out[v], prefetch);
-      }
-    });
-  }
-  ParallelFor(end - begin, 4096, [&](uint64_t lo, uint64_t hi) {
+  ParallelFor(end - begin, 256, [&](uint64_t lo, uint64_t hi) {
     for (VertexId v = begin + static_cast<VertexId>(lo);
          v < begin + static_cast<VertexId>(hi); ++v) {
-      out[v] = jump + (1.0 - jump) * out[v];
+      double sum = AccumulateRun(targets, c, offsets[v], offsets[v + 1],
+                                 prefetch);
+      out[v] = jump + (1.0 - jump) * sum;
     }
   });
 }
@@ -191,24 +125,12 @@ rt::PageRankResult PageRank(const Graph& g, const rt::PageRankOptions& options,
   std::vector<double> new_pr(n, 0.0);
   std::vector<double> contrib(n, 0.0);
 
-  // MAZE_NATIVE_OPT: cache-blocking plans, built once per rank slice (the
-  // schedule is static across iterations) and only when contrib[] actually
-  // spans multiple LLC-sized source windows.
-  const bool opt = NativeOptEnabled();
-  std::vector<GatherBlocks> blocks(opt ? static_cast<size_t>(ranks) : 0);
-  // The opt gather prefetches only once contrib[] spills L2; below that the
-  // gathered loads already hit and prefetch instructions are pure overhead.
-  const bool opt_prefetch =
+  // Prefetch the gathered contrib[] loads only once that array spills L2;
+  // below it the loads already hit and prefetch instructions are pure
+  // overhead.
+  const bool prefetch =
       native.software_prefetch &&
       static_cast<size_t>(n) * sizeof(double) > InnerCacheBytes();
-  if (opt) {
-    size_t window = GatherWindowVertices(sizeof(double));
-    for (int p = 0; p < ranks; ++p) {
-      blocks[p] = GatherBlocks::Build(g.in_offsets().data(),
-                                      g.in_targets().data(), part.Begin(p),
-                                      part.End(p), 0, n, window);
-    }
-  }
 
   uint64_t buffer_bytes = 0;
   int executed_iterations = 0;
@@ -220,28 +142,18 @@ rt::PageRankResult PageRank(const Graph& g, const rt::PageRankOptions& options,
       rt::RankTimer t;
       VertexId b = part.Begin(p);
       VertexId e = part.End(p);
-      if (opt) {
-        // Elementwise over raw pointers — no aliasing through the vector,
-        // vectorizable (per-element, so FP results are unchanged).
-        const EdgeId* ooff = g.out_offsets().data();
-        const double* pr_p = pr.data();
-        double* contrib_p = contrib.data();
-        ParallelFor(e - b, 1024, [&](uint64_t lo, uint64_t hi) {
-          for (VertexId v = b + static_cast<VertexId>(lo);
-               v < b + static_cast<VertexId>(hi); ++v) {
-            EdgeId deg = ooff[v + 1] - ooff[v];
-            contrib_p[v] = deg > 0 ? pr_p[v] / static_cast<double>(deg) : 0.0;
-          }
-        });
-      } else {
-        ParallelFor(e - b, 1024, [&](uint64_t lo, uint64_t hi) {
-          for (VertexId v = b + static_cast<VertexId>(lo);
-               v < b + static_cast<VertexId>(hi); ++v) {
-            EdgeId deg = g.OutDegree(v);
-            contrib[v] = deg > 0 ? pr[v] / static_cast<double>(deg) : 0.0;
-          }
-        });
-      }
+      // Elementwise over raw pointers: no aliasing through the vector, so
+      // the loop vectorizes (per element, so FP results are unchanged).
+      const EdgeId* ooff = g.out_offsets().data();
+      const double* pr_p = pr.data();
+      double* contrib_p = contrib.data();
+      ParallelFor(e - b, 1024, [&](uint64_t lo, uint64_t hi) {
+        for (VertexId v = b + static_cast<VertexId>(lo);
+             v < b + static_cast<VertexId>(hi); ++v) {
+          EdgeId deg = ooff[v + 1] - ooff[v];
+          contrib_p[v] = deg > 0 ? pr_p[v] / static_cast<double>(deg) : 0.0;
+        }
+      });
       double seconds = t.Seconds();
       clock.RecordCompute(p, seconds);
       obs::EmitSpanEndingNow("contrib", "native", p, iter, seconds);
@@ -268,13 +180,8 @@ rt::PageRankResult PageRank(const Graph& g, const rt::PageRankOptions& options,
     // barrier above guarantees every rank's contrib slice is complete.
     rt::ForEachRank(ranks, [&](int p) {
       rt::RankTimer t;
-      if (opt) {
-        GatherRangeOpt(g, part.Begin(p), part.End(p), options.jump, contrib,
-                       &new_pr, opt_prefetch, blocks[p]);
-      } else {
-        GatherRange(g, part.Begin(p), part.End(p), options.jump, contrib,
-                    &new_pr, native.software_prefetch);
-      }
+      GatherRange(g, part.Begin(p), part.End(p), options.jump, contrib,
+                  &new_pr, prefetch);
       double seconds = t.Seconds();
       clock.RecordCompute(p, seconds);
       obs::EmitSpanEndingNow("gather", "native", p, iter, seconds);

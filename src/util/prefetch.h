@@ -3,6 +3,12 @@
 #ifndef MAZE_UTIL_PREFETCH_H_
 #define MAZE_UTIL_PREFETCH_H_
 
+#include <cstddef>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+
 namespace maze {
 
 // Hints the cache hierarchy to load the line containing `addr` for reading.
@@ -26,6 +32,20 @@ inline void PrefetchWrite(const void* addr) {
 // How far ahead (in elements) the native kernels issue prefetches; chosen to cover
 // DRAM latency at typical per-element work.
 inline constexpr int kPrefetchDistance = 16;
+
+// Detected L2 size (1 MiB fallback). Software prefetch of gathered values only
+// pays when the gathered span spills this level; below it the loads already
+// hit and the prefetch instructions are pure overhead.
+inline size_t InnerCacheBytes() {
+  static const size_t l2 = [] {
+#if defined(_SC_LEVEL2_CACHE_SIZE)
+    long bytes = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    if (bytes > 0) return static_cast<size_t>(bytes);
+#endif
+    return size_t{1} << 20;
+  }();
+  return l2;
+}
 
 }  // namespace maze
 

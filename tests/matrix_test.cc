@@ -99,6 +99,24 @@ TEST(MatblasPageRankTest, MatchesReference) {
   }
 }
 
+TEST(MatblasPageRankTest, MatchesReferenceOnEdgeCaseShapes) {
+  rt::PageRankOptions opt;
+  opt.iterations = 5;
+  for (const EdgeList& el : testgraphs::EdgeCaseShapes()) {
+    Graph g = Graph::FromEdges(el, GraphDirections::kBoth);
+    auto expected = native::ReferencePageRank(g, opt.iterations, opt.jump);
+    for (int ranks : {1, 4}) {
+      auto result = PageRank(el, opt, Config(ranks));
+      ASSERT_EQ(result.ranks.size(), expected.size());
+      for (size_t v = 0; v < expected.size(); ++v) {
+        ASSERT_NEAR(result.ranks[v], expected[v], 1e-12)
+            << el.num_vertices << " vertices, " << el.edges.size()
+            << " edges, " << ranks << " ranks, vertex " << v;
+      }
+    }
+  }
+}
+
 class MatblasRanksTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MatblasRanksTest, PageRankInvariantToGridSize) {

@@ -78,6 +78,12 @@ TEST(NativeBfsTest, AllOptimizationTogglesPreserveDistances) {
 
 TEST(NativeBfsTest, CompressionReducesWireBytes) {
   Graph g = UndirectedGraph(12);
+  // Start at the hub so the search spans the graph and candidate traffic
+  // crosses ranks on both sides of the comparison.
+  VertexId source = 0;
+  for (VertexId v = 1; v < g.num_vertices(); ++v) {
+    if (g.OutDegree(v) > g.OutDegree(source)) source = v;
+  }
   rt::EngineConfig config;
   config.num_ranks = 4;
   NativeOptions raw = NativeOptions::AllOn();
@@ -85,10 +91,14 @@ TEST(NativeBfsTest, CompressionReducesWireBytes) {
   raw.use_bitvector = false;  // Force top-down so remote candidate traffic flows.
   NativeOptions compressed = raw;
   compressed.compress_messages = true;
-  auto with = Bfs(g, rt::BfsOptions{0}, config, compressed);
-  auto without = Bfs(g, rt::BfsOptions{0}, config, raw);
+  auto with = Bfs(g, rt::BfsOptions{source}, config, compressed);
+  auto without = Bfs(g, rt::BfsOptions{source}, config, raw);
+  auto expected = ReferenceBfs(g, source);
+  EXPECT_EQ(with.distance, expected);
+  EXPECT_EQ(without.distance, expected);
+  EXPECT_GT(with.metrics.bytes_sent, 0u);
+  EXPECT_GT(without.metrics.bytes_sent, 0u);
   EXPECT_LT(with.metrics.bytes_sent, without.metrics.bytes_sent);
-  EXPECT_EQ(with.distance, without.distance);
 }
 
 TEST(NativeBfsTest, SourceInLastPartition) {

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "native/reference.h"
 #include "tests/test_graphs.h"
+#include "util/thread_pool.h"
 
 namespace maze::native {
 namespace {
 
+using testgraphs::EdgeCaseShapes;
 using testgraphs::Figure2;
 using testgraphs::SmallRmat;
 
@@ -42,6 +47,47 @@ TEST(NativePageRankTest, MatchesReferenceOnRmat) {
   auto result = PageRank(g, opt, rt::EngineConfig{});
   auto expected = ReferencePageRank(g, 5, opt.jump);
   ExpectRanksNear(result.ranks, expected, 1e-9);
+}
+
+TEST(NativePageRankTest, MatchesReferenceOnEdgeCaseShapes) {
+  rt::PageRankOptions opt;
+  opt.iterations = 5;
+  for (const EdgeList& el : EdgeCaseShapes()) {
+    Graph g = Graph::FromEdges(el);
+    auto expected = ReferencePageRank(g, opt.iterations, opt.jump);
+    for (int ranks : {1, 2, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << el.num_vertices << " vertices, " << el.edges.size()
+                   << " edges, " << ranks << " ranks");
+      rt::EngineConfig config;
+      config.num_ranks = ranks;
+      ExpectRanksNear(PageRank(g, opt, config).ranks, expected, 1e-12);
+    }
+  }
+}
+
+// Each row sums its in-edges in CSR order whatever thread runs it, so the
+// ranks are bit-identical at any pool width.
+TEST(NativePageRankTest, BitIdenticalAcrossPoolWidths) {
+  Graph g = Graph::FromEdges(SmallRmat());
+  rt::PageRankOptions opt;
+  opt.iterations = 5;
+  ThreadPool& pool = ThreadPool::Default();
+  const unsigned before = pool.num_threads();
+  for (int ranks : {1, 4}) {
+    rt::EngineConfig config;
+    config.num_ranks = ranks;
+    pool.Resize(1);
+    std::vector<double> narrow = PageRank(g, opt, config).ranks;
+    pool.Resize(4);
+    std::vector<double> wide = PageRank(g, opt, config).ranks;
+    ASSERT_EQ(narrow.size(), wide.size());
+    EXPECT_EQ(std::memcmp(narrow.data(), wide.data(),
+                          narrow.size() * sizeof(double)),
+              0)
+        << ranks << " ranks";
+  }
+  pool.Resize(before);
 }
 
 // Multi-rank runs must be numerically identical to single rank: partitioning

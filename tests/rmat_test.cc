@@ -4,6 +4,7 @@
 
 #include "core/degree.h"
 #include "core/graph.h"
+#include "util/thread_pool.h"
 
 namespace maze {
 namespace {
@@ -24,6 +25,21 @@ TEST(RmatTest, DeterministicForSeed) {
   EdgeList a = GenerateRmat(params);
   EdgeList b = GenerateRmat(params);
   EXPECT_EQ(a.edges, b.edges);
+}
+
+// A worker-less pool runs the whole edge range as one ParallelFor chunk; the
+// graph must still be the one a multi-worker pool draws.
+TEST(RmatTest, EdgeListIndependentOfPoolWidth) {
+  RmatParams params = RmatParams::Graph500(12, 8, /*seed=*/5);
+  ThreadPool& pool = ThreadPool::Default();
+  const unsigned before = pool.num_threads();
+  pool.Resize(1);
+  EdgeList narrow = GenerateRmat(params);
+  pool.Resize(4);
+  EdgeList wide = GenerateRmat(params);
+  pool.Resize(before);
+  ASSERT_GT(narrow.edges.size(), 4096u);  // Spans several RNG blocks.
+  EXPECT_EQ(narrow.edges, wide.edges);
 }
 
 TEST(RmatTest, DifferentSeedsDiffer) {

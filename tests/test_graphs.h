@@ -9,6 +9,8 @@
 #include "core/ratings_gen.h"
 #include "core/rmat.h"
 
+#include <vector>
+
 namespace maze::testgraphs {
 
 // Figure 2's directed 4-vertex graph.
@@ -42,6 +44,34 @@ inline EdgeList SmallRmatOriented(int scale = 10, int edge_factor = 8,
                                                           seed));
   el.OrientBySmallerId();
   return el;
+}
+
+// PageRank gather edge cases, smallest first: no edges (every vertex
+// dangling), a single edge amid isolated vertices, a star whose hub row spans
+// every source, a chain with a dangling tail, Figure 2, and a small RMAT.
+inline std::vector<EdgeList> EdgeCaseShapes() {
+  std::vector<EdgeList> shapes;
+  EdgeList empty;
+  empty.num_vertices = 64;
+  shapes.push_back(empty);
+  EdgeList sparse;
+  sparse.num_vertices = 50;
+  sparse.edges = {{3, 47}};
+  shapes.push_back(sparse);
+  EdgeList star;
+  star.num_vertices = 40;
+  for (VertexId v = 1; v < 40; ++v) {
+    star.edges.push_back({0, v});
+    star.edges.push_back({v, 0});
+  }
+  shapes.push_back(star);
+  EdgeList chain;
+  chain.num_vertices = 33;
+  for (VertexId v = 0; v + 1 < 33; ++v) chain.edges.push_back({v, v + 1});
+  shapes.push_back(chain);
+  shapes.push_back(Figure2());
+  shapes.push_back(SmallRmat(9));
+  return shapes;
 }
 
 // Small ratings dataset for CF tests.
