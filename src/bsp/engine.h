@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/graph.h"
@@ -40,8 +39,8 @@
 #include "rt/sim_clock.h"
 #include "util/bitvector.h"
 #include "util/check.h"
+#include "util/chunk_buffers.h"
 #include "util/freelist.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace maze::bsp {
@@ -166,6 +165,13 @@ class BspEngine {
   uint64_t peak_buffer_bytes() const { return peak_buffer_bytes_; }
 
  private:
+  // One block of a rank's outbox: the block's sends in vertex order, and
+  // whether any of its vertices wants another superstep.
+  struct OutboxBlock {
+    std::vector<std::pair<VertexId, Boxed<Message>>> messages;
+    bool more = false;
+  };
+
   // Per-message resident cost: payload + JVM object header + reference.
   static size_t BoxedBytes() { return sizeof(Message) + 16 + 8; }
 
@@ -220,21 +226,19 @@ int BspEngine<Value, Message>::Run(BspProgram<Value, Message>* program,
   // Folds every owned vertex's pending messages (phased mode's per-mini-step
   // drain). Returns bytes released.
   auto drain_rank = [&](int p) -> uint64_t {
-    uint64_t released = 0;
-    std::mutex mu;
-    ParallelFor(part_.Size(p), 256, [&](uint64_t lo, uint64_t hi) {
-      uint64_t local_released = 0;
+    ChunkBuffers<uint64_t> released(part_.Size(p), 256);
+    released.Fill([&](uint64_t lo, uint64_t hi, uint64_t& block_released) {
       for (VertexId v = part_.Begin(p) + static_cast<VertexId>(lo);
            v < part_.Begin(p) + static_cast<VertexId>(hi); ++v) {
         if (inbox[v].empty()) continue;
         program->Fold(v, &values_[v], inbox[v]);
-        local_released += inbox[v].size() * BoxedBytes();
+        block_released += inbox[v].size() * BoxedBytes();
         inbox[v].clear();
       }
-      std::lock_guard<std::mutex> lock(mu);
-      released += local_released;
     });
-    return released;
+    uint64_t total = 0;
+    released.ForEachInOrder([&](uint64_t bytes) { total += bytes; });
+    return total;
   };
 
   // --- Checkpoint/restart (DESIGN.md §4c) -----------------------------------
@@ -375,16 +379,13 @@ int BspEngine<Value, Message>::Run(BspProgram<Value, Message>* program,
         util::FreeListPool<Message>* pool =
             arena_on_ ? pools_[p].get() : nullptr;
 
-        // Outbox for this rank & phase (with phases == 1 this is the
-        // full-superstep buffering the paper criticizes).
-        std::vector<std::pair<VertexId, Boxed<Message>>> outbox;
-        std::mutex mu;
-        bool rank_more = false;
-        ParallelFor(part_.Size(p), 64, [&](uint64_t lo, uint64_t hi) {
+        // Outbox for this rank & phase, one slot per block of owned vertices
+        // (with phases == 1 this is the full-superstep buffering the paper
+        // criticizes).
+        ChunkBuffers<OutboxBlock> outbox(part_.Size(p), 64);
+        outbox.Fill([&](uint64_t lo, uint64_t hi, OutboxBlock& out) {
           BspContext<Message> ctx;
           ctx.superstep_ = superstep;
-          std::vector<std::pair<VertexId, Boxed<Message>>> local;
-          bool local_more = false;
           for (VertexId v = part_.Begin(p) + static_cast<VertexId>(lo);
                v < part_.Begin(p) + static_cast<VertexId>(hi); ++v) {
             if (static_cast<int>(v % phases) != phase) continue;
@@ -397,19 +398,22 @@ int BspEngine<Value, Message>::Run(BspProgram<Value, Message>* program,
             }
             ctx.Reset();
             bool more = program->Compute(&ctx, v, &values_[v]);
-            local_more = local_more || more;
+            out.more = out.more || more;
             if (ctx.send_all_) {
               for (VertexId dst : g_.OutNeighbors(v)) {
-                local.emplace_back(dst, Box(pool, ctx.payload_));
+                out.messages.emplace_back(dst, Box(pool, ctx.payload_));
               }
             }
             for (auto& [dst, m] : ctx.targeted_) {
-              local.emplace_back(dst, Box(pool, std::move(m)));
+              out.messages.emplace_back(dst, Box(pool, std::move(m)));
             }
           }
-          std::lock_guard<std::mutex> lock(mu);
-          rank_more = rank_more || local_more;
-          for (auto& e : local) outbox.push_back(std::move(e));
+        });
+        uint64_t outbox_messages = 0;
+        bool rank_more = false;
+        outbox.ForEachInOrder([&](const OutboxBlock& block) {
+          outbox_messages += block.messages.size();
+          rank_more = rank_more || block.more;
         });
         double compute_seconds = t.Seconds();
         clock_.RecordCompute(p, compute_seconds, worker_scale);
@@ -420,8 +424,8 @@ int BspEngine<Value, Message>::Run(BspProgram<Value, Message>* program,
         // turnstile — it mutates superstep-shared buffers and accounting.
         turns.Run(p, [&] {
           wants_more = wants_more || rank_more;
-          boxed_requests_ += outbox.size();
-          uint64_t outbox_bytes = outbox.size() * BoxedBytes();
+          boxed_requests_ += outbox_messages;
+          uint64_t outbox_bytes = outbox_messages * BoxedBytes();
           peak_buffer_bytes_ =
               std::max(peak_buffer_bytes_,
                        outbox_bytes + live_inbox_bytes + next_inbox_bytes);
@@ -438,24 +442,26 @@ int BspEngine<Value, Message>::Run(BspProgram<Value, Message>* program,
                   &obs::GetHistogram("bspgraph.outbox_messages");
               outbox_bytes_hist_ = &obs::GetHistogram("bspgraph.outbox_bytes");
             }
-            outbox_messages_hist_->Record(outbox.size());
+            outbox_messages_hist_->Record(outbox_messages);
             outbox_bytes_hist_->Record(outbox_bytes);
           }
           std::vector<uint64_t> bytes_to(ranks, 0);
-          for (auto& [dst, m] : outbox) {
-            int q = ranks == 1 ? 0 : part_.OwnerOf(dst);
-            bytes_to[q] += 12 + program->MessageWireBytes(*m);
-            if (phases == 1) {
-              next_inbox_bytes += BoxedBytes();
-              next_has.Set(dst);
-              next_inbox[dst].push_back(std::move(m));
-            } else {
-              live_inbox_bytes += BoxedBytes();
-              has_msg.Set(dst);
-              inbox[dst].push_back(std::move(m));
+          outbox.ForEachInOrder([&](OutboxBlock& block) {
+            for (auto& [dst, m] : block.messages) {
+              int q = ranks == 1 ? 0 : part_.OwnerOf(dst);
+              bytes_to[q] += 12 + program->MessageWireBytes(*m);
+              if (phases == 1) {
+                next_inbox_bytes += BoxedBytes();
+                next_has.Set(dst);
+                next_inbox[dst].push_back(std::move(m));
+              } else {
+                live_inbox_bytes += BoxedBytes();
+                has_msg.Set(dst);
+                inbox[dst].push_back(std::move(m));
+              }
             }
-            ++messages_sent_this_superstep;
-          }
+          });
+          messages_sent_this_superstep += outbox_messages;
           for (int q = 0; q < ranks; ++q) {
             if (q != p && bytes_to[q] > 0) {
               clock_.RecordSend(p, q, bytes_to[q], 1);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <vector>
 
 #include "datalog/table.h"
@@ -11,6 +10,7 @@
 #include "rt/rank_exec.h"
 #include "util/bitvector.h"
 #include "util/check.h"
+#include "util/chunk_buffers.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -218,10 +218,8 @@ rt::TriangleCountResult TriangleCount(const Graph& g,
   std::vector<uint64_t> rank_triangles(ranks, 0);
   rt::ForEachRank(ranks, [&](int p) {
     rt::RankTimer t;
-    uint64_t triangles = 0;
-    std::mutex mu;
-    ParallelFor(rt.shard().Size(p), 32, [&](uint64_t lo, uint64_t hi) {
-      uint64_t local = 0;
+    ChunkBuffers<uint64_t> counts(rt.shard().Size(p), 32);
+    counts.Fill([&](uint64_t lo, uint64_t hi, uint64_t& block_triangles) {
       for (VertexId x = rt.shard().Begin(p) + static_cast<VertexId>(lo);
            x < rt.shard().Begin(p) + static_cast<VertexId>(hi); ++x) {
         auto [xb, xe] = edges.Rows(x);
@@ -230,14 +228,13 @@ rt::TriangleCountResult TriangleCount(const Graph& g,
           auto [yb, ye] = edges.Rows(y);
           for (size_t yr = yb; yr < ye; ++yr) {
             int64_t z = edges.Int(yr, 1);
-            if (edges.ContainsPair(x, z)) ++local;
+            if (edges.ContainsPair(x, z)) ++block_triangles;
           }
         }
       }
-      std::lock_guard<std::mutex> lock(mu);
-      triangles += local;
     });
-    rank_triangles[p] = triangles;
+    counts.ForEachInOrder(
+        [&](uint64_t block_triangles) { rank_triangles[p] += block_triangles; });
     rt.clock()->RecordCompute(p, t.Seconds());
     // $INC combination: one counter tuple per rank to the head's shard (rank 0).
     if (p != 0) rt.ChargeTuples(p, 0, 1, 16);

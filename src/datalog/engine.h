@@ -129,7 +129,7 @@ void RunBodyForRank(
                              const std::function<void(int64_t, V)>& emit)>&
         per_key) {
   using Tuple = std::pair<int64_t, V>;
-  ChunkBuffers<Tuple> tuples(keys.size(), kKeyGrain);
+  ChunkBuffers<std::vector<Tuple>> tuples(keys.size(), kKeyGrain);
   tuples.Fill([&](uint64_t lo, uint64_t hi, std::vector<Tuple>& out) {
     const std::function<void(int64_t, V)> emit = [&out](int64_t key, V value) {
       out.emplace_back(key, value);
@@ -137,16 +137,17 @@ void RunBodyForRank(
     for (uint64_t i = lo; i < hi; ++i) per_key(keys[i], emit);
   });
   turns->Run(p, [&] {
-    tuples.ForEachInOrder([&](const Tuple& tuple) {
-      const auto& [key, value] = tuple;
-      MAZE_DCHECK(key >= 0 && key < static_cast<int64_t>(acc->size()));
-      if ((*touched)[key]) {
-        (*acc)[key] = Agg::Apply((*acc)[key], value);
-      } else {
-        (*touched)[key] = true;
-        (*acc)[key] = value;
+    tuples.ForEachInOrder([&](const std::vector<Tuple>& block) {
+      for (const auto& [key, value] : block) {
+        MAZE_DCHECK(key >= 0 && key < static_cast<int64_t>(acc->size()));
+        if ((*touched)[key]) {
+          (*acc)[key] = Agg::Apply((*acc)[key], value);
+        } else {
+          (*touched)[key] = true;
+          (*acc)[key] = value;
+        }
+        ++(*tuples_to)[rt->OwnerOf(key)];
       }
-      ++(*tuples_to)[rt->OwnerOf(key)];
     });
   });
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <mutex>
 #include <vector>
 
 #include "matrix/dist_matrix.h"
@@ -16,6 +15,7 @@
 #include "util/bitvector.h"
 #include "util/codec.h"
 #include "util/check.h"
+#include "util/chunk_buffers.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -41,6 +41,12 @@ void ChargeSpmvComm(const DistMatrix& m, rt::SimClock* clock,
     }
   }
 }
+
+// One block of A^2 rows: the triangles it closes and its distinct entries.
+struct SpGemmCounts {
+  uint64_t triangles = 0;
+  uint64_t a2_nnz = 0;
+};
 
 }  // namespace
 
@@ -253,12 +259,8 @@ rt::TriangleCountResult TriangleCount(const Graph& g,
   std::vector<uint64_t> rank_a2_nnz_of(ranks, 0);
   rt::ForEachRank(ranks, [&](int p) {
     rt::RankTimer t;
-    std::mutex mu;
-    uint64_t rank_triangles = 0;
-    uint64_t rank_a2_nnz = 0;
-    ParallelFor(rows.Size(p), 64, [&](uint64_t lo, uint64_t hi) {
-      uint64_t local_triangles = 0;
-      uint64_t local_nnz = 0;
+    ChunkBuffers<SpGemmCounts> counts(rows.Size(p), 64);
+    counts.Fill([&](uint64_t lo, uint64_t hi, SpGemmCounts& out) {
       std::vector<VertexId> row;  // Scratch: one row of A^2 (with multiplicity).
       for (VertexId u = rows.Begin(p) + static_cast<VertexId>(lo);
            u < rows.Begin(p) + static_cast<VertexId>(hi); ++u) {
@@ -270,7 +272,7 @@ rt::TriangleCountResult TriangleCount(const Graph& g,
         std::sort(row.begin(), row.end());
         // nnz(A^2 row) = distinct entries (all materialized, with counts).
         for (size_t x = 0; x < row.size(); ++x) {
-          if (x == 0 || row[x] != row[x - 1]) ++local_nnz;
+          if (x == 0 || row[x] != row[x - 1]) ++out.a2_nnz;
         }
         // EWiseMult with the pattern of A's row u: intersect the sorted path
         // multiset with the sorted neighbor list; each matching path closes one
@@ -284,20 +286,19 @@ rt::TriangleCountResult TriangleCount(const Graph& g,
           } else if (nu[i] > row[j]) {
             ++j;
           } else {
-            ++local_triangles;
+            ++out.triangles;
             ++j;  // Advance only the path side: count the multiplicity.
           }
         }
       }
-      std::lock_guard<std::mutex> lock(mu);
-      rank_triangles += local_triangles;
-      rank_a2_nnz += local_nnz;
+    });
+    counts.ForEachInOrder([&](const SpGemmCounts& block) {
+      rank_triangles_of[p] += block.triangles;
+      rank_a2_nnz_of[p] += block.a2_nnz;
     });
     double seconds = t.Seconds();
     clock.RecordCompute(p, seconds);
     obs::EmitSpanEndingNow("spgemm", "matblas", p, /*step=*/0, seconds);
-    rank_triangles_of[p] = rank_triangles;
-    rank_a2_nnz_of[p] = rank_a2_nnz;
   });
   uint64_t triangles = 0;
   uint64_t a2_nnz_total = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <vector>
 
 #include "obs/obs.h"
@@ -11,9 +10,9 @@
 #include "rt/sim_clock.h"
 #include "util/bitvector.h"
 #include "util/check.h"
+#include "util/chunk_buffers.h"
 #include "util/codec.h"
 #include "util/prefetch.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace maze::native {
@@ -59,6 +58,13 @@ class VisitedSet {
   bool use_bitvector_;
   Bitvector bits_;
   std::vector<std::atomic<uint32_t>> dist_;
+};
+
+// One block of a rank's top-down frontier: unvisited owned neighbors (claim
+// candidates) and the remote neighbors per destination rank, in frontier order.
+struct TopDownBlock {
+  std::vector<VertexId> owned;
+  std::vector<std::vector<VertexId>> remote;
 };
 
 }  // namespace
@@ -118,22 +124,22 @@ rt::BfsResult Bfs(const Graph& g, const rt::BfsOptions& options,
       // distances, and next-frontier lists never cross rank tasks.
       rt::ForEachRank(ranks, [&](int p) {
         rt::RankTimer t;
-        std::mutex merge_mu;
-        auto& next = next_frontier[p];
-        ParallelFor(part.Size(p), 512, [&](uint64_t lo, uint64_t hi) {
-          std::vector<VertexId> local;
+        ChunkBuffers<std::vector<VertexId>> found(part.Size(p), 512);
+        found.Fill([&](uint64_t lo, uint64_t hi, std::vector<VertexId>& out) {
           for (VertexId v = part.Begin(p) + static_cast<VertexId>(lo);
                v < part.Begin(p) + static_cast<VertexId>(hi); ++v) {
             if (visited.Test(v)) continue;
             for (VertexId u : g.OutNeighbors(v)) {
               if (in_frontier.Test(u)) {
-                local.push_back(v);
+                out.push_back(v);
                 break;
               }
             }
           }
-          std::lock_guard<std::mutex> lock(merge_mu);
-          for (VertexId v : local) {
+        });
+        auto& next = next_frontier[p];
+        found.ForEachInOrder([&](const std::vector<VertexId>& block) {
+          for (VertexId v : block) {
             if (visited.Claim(v, level + 1)) {
               result.distance[v] = level + 1;
               next.push_back(v);
@@ -173,10 +179,12 @@ rt::BfsResult Bfs(const Graph& g, const rt::BfsOptions& options,
       rt::ForEachRank(ranks, [&](int p) {
         rt::RankTimer t;
         const auto& f = frontier[p];
-        std::mutex merge_mu;
-        ParallelFor(f.size(), 64, [&](uint64_t lo, uint64_t hi) {
-          std::vector<VertexId> local_next;
-          std::vector<std::vector<VertexId>> local_remote(ranks);
+        // Blocks only collect candidates; the claims run in block order after
+        // the loop, so the first discovery in frontier order wins whatever the
+        // schedule and next_frontier[p] keeps the serial order.
+        ChunkBuffers<TopDownBlock> blocks(f.size(), 64);
+        blocks.Fill([&](uint64_t lo, uint64_t hi, TopDownBlock& out) {
+          out.remote.resize(ranks);
           for (uint64_t i = lo; i < hi; ++i) {
             const auto neighbors = g.OutNeighbors(f[i]);
             for (size_t j = 0; j < neighbors.size(); ++j) {
@@ -187,21 +195,24 @@ rt::BfsResult Bfs(const Graph& g, const rt::BfsOptions& options,
               VertexId v = neighbors[j];
               int q = ranks == 1 ? 0 : part.OwnerOf(v);
               if (q == p) {
-                if (visited.Claim(v, level + 1)) {
-                  result.distance[v] = level + 1;
-                  local_next.push_back(v);
-                }
+                if (!visited.Test(v)) out.owned.push_back(v);
               } else {
-                local_remote[q].push_back(v);
+                out.remote[q].push_back(v);
               }
             }
           }
-          std::lock_guard<std::mutex> lock(merge_mu);
-          auto& next = next_frontier[p];
-          next.insert(next.end(), local_next.begin(), local_next.end());
+        });
+        auto& next = next_frontier[p];
+        blocks.ForEachInOrder([&](const TopDownBlock& block) {
+          for (VertexId v : block.owned) {
+            if (visited.Claim(v, level + 1)) {
+              result.distance[v] = level + 1;
+              next.push_back(v);
+            }
+          }
           for (int q = 0; q < ranks; ++q) {
-            remote[p][q].insert(remote[p][q].end(), local_remote[q].begin(),
-                                local_remote[q].end());
+            remote[p][q].insert(remote[p][q].end(), block.remote[q].begin(),
+                                block.remote[q].end());
           }
         });
         double seconds = t.Seconds();

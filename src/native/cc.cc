@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <mutex>
 #include <vector>
 
 #include "obs/obs.h"
@@ -12,7 +11,7 @@
 #include "rt/sim_clock.h"
 #include "util/bitvector.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
+#include "util/chunk_buffers.h"
 #include "util/timer.h"
 
 namespace maze::native {
@@ -70,6 +69,13 @@ rt::ConnectedComponentsResult ConnectedComponents(
     }
   }
 
+  // One block of a rank's frontier: the vertices it queued for the next round
+  // and its cross-rank label improvements per destination rank.
+  struct RelaxBlock {
+    std::vector<VertexId> next;
+    std::vector<uint64_t> cross;
+  };
+
   int rounds = 0;
   while (rounds < options.max_iterations) {
     uint64_t active = 0;
@@ -89,10 +95,9 @@ rt::ConnectedComponentsResult ConnectedComponents(
     // CPU time, keeping the compute model consistent with the parallel engines.
     for (int p = 0; p < ranks; ++p) {
       rt::RankTimer t;
-      std::mutex merge_mu;
-      ParallelFor(frontier[p].size(), 64, [&](uint64_t lo, uint64_t hi) {
-        std::vector<VertexId> local_next;
-        std::vector<uint64_t> local_cross(ranks, 0);
+      ChunkBuffers<RelaxBlock> blocks(frontier[p].size(), 64);
+      blocks.Fill([&](uint64_t lo, uint64_t hi, RelaxBlock& out) {
+        out.cross.assign(ranks, 0);
         for (uint64_t i = lo; i < hi; ++i) {
           VertexId u = frontier[p][i];
           VertexId lu = label[u].load(std::memory_order_relaxed);
@@ -108,16 +113,17 @@ rt::ConnectedComponentsResult ConnectedComponents(
             }
             if (improved) {
               int q = ranks == 1 ? 0 : part.OwnerOf(v);
-              if (q != p) ++local_cross[q];
-              if (in_next.TestAndSetAtomic(v)) local_next.push_back(v);
+              if (q != p) ++out.cross[q];
+              if (in_next.TestAndSetAtomic(v)) out.next.push_back(v);
             }
           }
         }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        for (VertexId v : local_next) {
+      });
+      blocks.ForEachInOrder([&](const RelaxBlock& block) {
+        for (VertexId v : block.next) {
           next[ranks == 1 ? 0 : part.OwnerOf(v)].push_back(v);
         }
-        for (int q = 0; q < ranks; ++q) cross[p][q] += local_cross[q];
+        for (int q = 0; q < ranks; ++q) cross[p][q] += block.cross[q];
       });
       double seconds = t.Seconds();
       clock.RecordCompute(p, seconds);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <cmath>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "util/bitvector.h"
 #include "rt/sim_clock.h"
 #include "util/check.h"
+#include "util/chunk_buffers.h"
 #include "util/prng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -103,10 +103,8 @@ void CfInitFactors(VertexId count, int k, uint64_t seed,
 
 double CfRmse(const BipartiteGraph& g, const std::vector<double>& user_factors,
               const std::vector<double>& item_factors, int k) {
-  std::mutex mu;
-  double sum = 0;
-  ParallelFor(g.num_users(), 128, [&](uint64_t lo, uint64_t hi) {
-    double local = 0;
+  ChunkBuffers<double> sums(g.num_users(), 128);
+  sums.Fill([&](uint64_t lo, uint64_t hi, double& block_sum) {
     for (VertexId u = static_cast<VertexId>(lo); u < hi; ++u) {
       const double* p = user_factors.data() + static_cast<size_t>(u) * k;
       for (const auto& e : g.UserRatings(u)) {
@@ -114,12 +112,12 @@ double CfRmse(const BipartiteGraph& g, const std::vector<double>& user_factors,
         double dot = 0;
         for (int i = 0; i < k; ++i) dot += p[i] * q[i];
         double err = e.rating - dot;
-        local += err * err;
+        block_sum += err * err;
       }
     }
-    std::lock_guard<std::mutex> lock(mu);
-    sum += local;
   });
+  double sum = 0;
+  sums.ForEachInOrder([&](double block_sum) { sum += block_sum; });
   return g.num_ratings() > 0
              ? std::sqrt(sum / static_cast<double>(g.num_ratings()))
              : 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <queue>
 #include <vector>
 
@@ -11,7 +10,7 @@
 #include "rt/sim_clock.h"
 #include "util/bitvector.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
+#include "util/chunk_buffers.h"
 #include "util/timer.h"
 
 namespace maze::native {
@@ -57,6 +56,13 @@ rt::SsspResult Sssp(const WeightedGraph& g, const rt::SsspOptions& options,
   std::vector<std::vector<VertexId>> frontier(ranks);
   frontier[part.OwnerOf(options.source)].push_back(options.source);
 
+  // One block of a rank's frontier: the vertices it queued for the next round
+  // and its cross-rank distance improvements per destination rank.
+  struct RelaxBlock {
+    std::vector<VertexId> next;
+    std::vector<uint64_t> cross;
+  };
+
   int rounds = 0;
   while (true) {
     uint64_t active = 0;
@@ -73,10 +79,9 @@ rt::SsspResult Sssp(const WeightedGraph& g, const rt::SsspOptions& options,
     // wire bytes) schedule-dependent. RankTimer still charges CPU time.
     for (int p = 0; p < ranks; ++p) {
       rt::RankTimer t;
-      std::mutex merge_mu;
-      ParallelFor(frontier[p].size(), 64, [&](uint64_t lo, uint64_t hi) {
-        std::vector<VertexId> local_next;
-        std::vector<uint64_t> local_cross(ranks, 0);
+      ChunkBuffers<RelaxBlock> blocks(frontier[p].size(), 64);
+      blocks.Fill([&](uint64_t lo, uint64_t hi, RelaxBlock& out) {
+        out.cross.assign(ranks, 0);
         for (uint64_t i = lo; i < hi; ++i) {
           VertexId u = frontier[p][i];
           float du = dist[u].load(std::memory_order_relaxed);
@@ -93,18 +98,19 @@ rt::SsspResult Sssp(const WeightedGraph& g, const rt::SsspOptions& options,
             }
             if (improved) {
               int q = ranks == 1 ? 0 : part.OwnerOf(arc.dst);
-              if (q != p) ++local_cross[q];
+              if (q != p) ++out.cross[q];
               if (in_next.TestAndSetAtomic(arc.dst)) {
-                local_next.push_back(arc.dst);
+                out.next.push_back(arc.dst);
               }
             }
           }
         }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        for (VertexId v : local_next) {
+      });
+      blocks.ForEachInOrder([&](const RelaxBlock& block) {
+        for (VertexId v : block.next) {
           next[ranks == 1 ? 0 : part.OwnerOf(v)].push_back(v);
         }
-        for (int q = 0; q < ranks; ++q) cross[p][q] += local_cross[q];
+        for (int q = 0; q < ranks; ++q) cross[p][q] += block.cross[q];
       });
       clock.RecordCompute(p, t.Seconds());
     }

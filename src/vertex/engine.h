@@ -33,7 +33,6 @@
 #define MAZE_VERTEX_ENGINE_H_
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include "core/graph.h"
@@ -44,7 +43,7 @@
 #include "rt/sim_clock.h"
 #include "util/bitvector.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
+#include "util/chunk_buffers.h"
 #include "util/timer.h"
 
 namespace maze::gmat {
@@ -116,6 +115,20 @@ class SyncEngine {
   // GraphLab keeps most cores busy; slightly below native due to engine overhead.
   static constexpr double kIntraRankUtilization = 0.8;
 
+  // One block of a rank's compute loop: its sends in vertex order, and whether
+  // any of its vertices wants another superstep. Broadcast deliveries of
+  // non-combinable programs are kept apart from targeted sends: GraphLab's
+  // vertex mirroring means a broadcast crosses the wire once per (vertex,
+  // remote rank with a mirror), not once per edge, so their wire bytes are
+  // accumulated per destination rank while the per-edge copies are
+  // delivery-only.
+  struct ComputeBlock {
+    std::vector<std::pair<VertexId, Message>> sends;
+    std::vector<std::pair<VertexId, Message>> broadcasts;
+    std::vector<uint64_t> broadcast_bytes_to;
+    bool wants_more = false;
+  };
+
   const Graph& g_;
   rt::EngineConfig config_;
   rt::SimClock clock_;
@@ -162,31 +175,18 @@ int SyncEngine<P>::Run(P* program, int max_supersteps) {
     rt::ForEachRank(ranks, [&](int p) {
       MAZE_OBS_SPAN("superstep", "vertexlab", p, superstep);
       rt::RankTimer compute_timer;
-      // Per-rank outbound state, local to this rank's turn (bounds memory to
-      // O(n) regardless of rank count).
-      std::vector<Message> out_acc(kCombinable ? n : 0);
-      Bitvector out_has(kCombinable ? n : 0);
-      std::vector<std::pair<VertexId, Message>> out_raw;
-      // Broadcast deliveries are kept apart from targeted sends: GraphLab's
-      // vertex mirroring means a broadcast crosses the wire once per (vertex,
-      // remote rank with a mirror), not once per edge, so their wire bytes are
-      // accumulated here while the per-edge copies below are delivery-only.
-      std::vector<std::pair<VertexId, Message>> out_bcast;
-      std::vector<uint64_t> broadcast_bytes_to(ranks, 0);
-
-      std::mutex merge_mu;
-      bool rank_wants_more = false;
-      ParallelFor(part_.Size(p), 128, [&](uint64_t lo, uint64_t hi) {
+      // Per-block outbound state, folded in block order: combinable sends into
+      // the rank's dense accumulator right after the loop, the rest straight
+      // from the blocks during the rank's turn.
+      ChunkBuffers<ComputeBlock> blocks(part_.Size(p), 128);
+      blocks.Fill([&](uint64_t lo, uint64_t hi, ComputeBlock& out) {
         Context<Message> ctx;
         ctx.superstep_ = superstep;
-        std::vector<std::pair<VertexId, Message>> local_out;
-        std::vector<std::pair<VertexId, Message>> local_bcast;
-        std::vector<uint64_t> local_broadcast(ranks, 0);
+        if constexpr (!kCombinable) out.broadcast_bytes_to.assign(ranks, 0);
         // Which ranks the current broadcasting vertex has already hit; stamped
-        // per vertex so one buffer serves the whole chunk.
-        std::vector<uint64_t> rank_seen(ranks, 0);
+        // per vertex so one buffer serves the whole block.
+        std::vector<uint64_t> rank_seen(kCombinable ? 0 : ranks, 0);
         uint64_t seen_stamp = 0;
-        bool local_wants_more = false;
         for (VertexId v = part_.Begin(p) + static_cast<VertexId>(lo);
              v < part_.Begin(p) + static_cast<VertexId>(hi); ++v) {
           if (!active.Test(v)) continue;
@@ -203,11 +203,11 @@ int SyncEngine<P>::Run(P* program, int max_supersteps) {
           }
           ctx.Reset();
           bool more = program->Compute(&ctx, v, &values_[v], msgs, count);
-          local_wants_more = local_wants_more || more;
+          out.wants_more = out.wants_more || more;
           if (ctx.send_all_) {
             if constexpr (kCombinable) {
               for (VertexId dst : g_.OutNeighbors(v)) {
-                local_out.emplace_back(dst, ctx.payload_);
+                out.sends.emplace_back(dst, ctx.payload_);
               }
             } else {
               // One wire copy per destination rank that hosts a mirror; the
@@ -218,20 +218,24 @@ int SyncEngine<P>::Run(P* program, int max_supersteps) {
                 int q = ranks == 1 ? 0 : part_.OwnerOf(dst);
                 if (rank_seen[q] != seen_stamp) {
                   rank_seen[q] = seen_stamp;
-                  local_broadcast[q] += wire;
+                  out.broadcast_bytes_to[q] += wire;
                 }
-                local_bcast.emplace_back(dst, ctx.payload_);
+                out.broadcasts.emplace_back(dst, ctx.payload_);
               }
             }
           }
           for (auto& [dst, m] : ctx.targeted_) {
-            local_out.emplace_back(dst, std::move(m));
+            out.sends.emplace_back(dst, std::move(m));
           }
         }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        rank_wants_more = rank_wants_more || local_wants_more;
+      });
+      bool rank_wants_more = false;
+      std::vector<Message> out_acc(kCombinable ? n : 0);
+      Bitvector out_has(kCombinable ? n : 0);
+      blocks.ForEachInOrder([&](ComputeBlock& block) {
+        rank_wants_more = rank_wants_more || block.wants_more;
         if constexpr (kCombinable) {
-          for (auto& [dst, m] : local_out) {
+          for (auto& [dst, m] : block.sends) {
             if (out_has.Test(dst)) {
               out_acc[dst] = P::Combine(out_acc[dst], m);
             } else {
@@ -239,16 +243,8 @@ int SyncEngine<P>::Run(P* program, int max_supersteps) {
               out_acc[dst] = m;
             }
           }
-        } else {
-          out_raw.insert(out_raw.end(),
-                         std::make_move_iterator(local_out.begin()),
-                         std::make_move_iterator(local_out.end()));
-          out_bcast.insert(out_bcast.end(),
-                           std::make_move_iterator(local_bcast.begin()),
-                           std::make_move_iterator(local_bcast.end()));
-          for (int q = 0; q < ranks; ++q) {
-            broadcast_bytes_to[q] += local_broadcast[q];
-          }
+          // The accumulator now holds these sends; free them before the turn.
+          block.sends = decltype(block.sends)();
         }
       });
       double compute_seconds = compute_timer.Seconds();
@@ -279,18 +275,25 @@ int SyncEngine<P>::Run(P* program, int max_supersteps) {
             next_active.Set(dst);
           }
         } else {
-          for (auto& [dst, m] : out_raw) {
-            int q = ranks == 1 ? 0 : part_.OwnerOf(dst);
-            bytes_to[q] += 4 + P::MessageWireBytes(m);
-            next_active.Set(dst);
-            next_list[dst].push_back(std::move(m));
-          }
+          // Targeted sends of every block first, then the broadcasts.
+          blocks.ForEachInOrder([&](ComputeBlock& block) {
+            for (auto& [dst, m] : block.sends) {
+              int q = ranks == 1 ? 0 : part_.OwnerOf(dst);
+              bytes_to[q] += 4 + P::MessageWireBytes(m);
+              next_active.Set(dst);
+              next_list[dst].push_back(std::move(m));
+            }
+          });
           // Broadcast deliveries: wire already accounted per (vertex, rank).
-          for (auto& [dst, m] : out_bcast) {
-            next_active.Set(dst);
-            next_list[dst].push_back(std::move(m));
-          }
-          for (int q = 0; q < ranks; ++q) bytes_to[q] += broadcast_bytes_to[q];
+          blocks.ForEachInOrder([&](ComputeBlock& block) {
+            for (auto& [dst, m] : block.broadcasts) {
+              next_active.Set(dst);
+              next_list[dst].push_back(std::move(m));
+            }
+            for (int q = 0; q < ranks; ++q) {
+              bytes_to[q] += block.broadcast_bytes_to[q];
+            }
+          });
         }
         for (int q = 0; q < ranks; ++q) {
           if (q != p && bytes_to[q] > 0) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -206,7 +208,7 @@ TEST(ChunkBuffersTest, BlocksFollowGrainAndFoldInIndexOrder) {
   std::iota(expected.begin(), expected.end(), 0);
   for (unsigned width : {1u, 4u}) {
     ThreadPool::Default().Resize(width);
-    ChunkBuffers<uint64_t> buffers(kN, kGrain);
+    ChunkBuffers<std::vector<uint64_t>> buffers(kN, kGrain);
     std::atomic<uint64_t> blocks{0};
     buffers.Fill([&](uint64_t lo, uint64_t hi, std::vector<uint64_t>& out) {
       EXPECT_EQ(lo % kGrain, 0u);
@@ -217,8 +219,97 @@ TEST(ChunkBuffersTest, BlocksFollowGrainAndFoldInIndexOrder) {
     });
     EXPECT_EQ(blocks.load(), (kN + kGrain - 1) / kGrain) << "width " << width;
     std::vector<uint64_t> seen;
-    buffers.ForEachInOrder([&](uint64_t x) { seen.push_back(x); });
+    buffers.ForEachInOrder([&](std::vector<uint64_t>& block) {
+      seen.insert(seen.end(), block.begin(), block.end());
+    });
     EXPECT_EQ(seen, expected) << "width " << width;
+  }
+  ThreadPool::Default().Resize(0);
+}
+
+// A slot can be any value-initialized type: a struct of a vector and a flag,
+// or a scalar floating-point sum. Folding the slots in block order gives the
+// same bits at every pool width.
+TEST(ChunkBuffersTest, StructAndScalarSlotsFoldInBlockOrder) {
+  constexpr uint64_t kN = 5000;
+  constexpr uint64_t kGrain = 64;
+  struct Slot {
+    std::vector<uint64_t> multiples_of_7;
+    bool any = false;
+  };
+  auto term = [](uint64_t i) { return 1.0 / static_cast<double>(i + 1); };
+  // The block-order fold, written out serially.
+  double expected_sum = 0;
+  for (uint64_t lo = 0; lo < kN; lo += kGrain) {
+    double block = 0;
+    for (uint64_t i = lo; i < std::min(kN, lo + kGrain); ++i) block += term(i);
+    expected_sum += block;
+  }
+  std::vector<uint64_t> expected_multiples;
+  for (uint64_t i = 0; i < kN; i += 7) expected_multiples.push_back(i);
+
+  for (unsigned width : {1u, 4u}) {
+    ThreadPool::Default().Resize(width);
+    ChunkBuffers<Slot> slots(kN, kGrain);
+    slots.Fill([](uint64_t lo, uint64_t hi, Slot& out) {
+      EXPECT_FALSE(out.any);
+      for (uint64_t i = lo; i < hi; ++i) {
+        if (i % 7 == 0) out.multiples_of_7.push_back(i);
+      }
+      out.any = !out.multiples_of_7.empty();
+    });
+    std::vector<uint64_t> multiples;
+    uint64_t blocks_with_any = 0;
+    slots.ForEachInOrder([&](Slot& slot) {
+      EXPECT_EQ(slot.any, !slot.multiples_of_7.empty());
+      blocks_with_any += slot.any ? 1 : 0;
+      multiples.insert(multiples.end(), slot.multiples_of_7.begin(),
+                       slot.multiples_of_7.end());
+    });
+    EXPECT_EQ(multiples, expected_multiples) << "width " << width;
+    EXPECT_EQ(blocks_with_any, (kN + kGrain - 1) / kGrain) << "width " << width;
+
+    ChunkBuffers<double> sums(kN, kGrain);
+    sums.Fill([&](uint64_t lo, uint64_t hi, double& out) {
+      EXPECT_EQ(out, 0.0);
+      for (uint64_t i = lo; i < hi; ++i) out += term(i);
+    });
+    double sum = 0;
+    sums.ForEachInOrder([&](double block) { sum += block; });
+    EXPECT_EQ(std::memcmp(&sum, &expected_sum, sizeof(double)), 0)
+        << "width " << width << ": " << sum << " vs " << expected_sum;
+  }
+  ThreadPool::Default().Resize(0);
+}
+
+// Empty ranges have no blocks; a range shorter than one grain is one block;
+// the last block of a range that is not a multiple of grain is partial.
+TEST(ChunkBuffersTest, EmptyShortAndPartialFinalBlocks) {
+  constexpr uint64_t kGrain = 16;
+  for (unsigned width : {1u, 4u}) {
+    ThreadPool::Default().Resize(width);
+    for (uint64_t n : {uint64_t{0}, uint64_t{5}, 3 * kGrain + 2}) {
+      SCOPED_TRACE(::testing::Message() << "width " << width << ", n " << n);
+      ChunkBuffers<std::vector<std::pair<uint64_t, uint64_t>>> ranges(n,
+                                                                       kGrain);
+      ranges.Fill([](uint64_t lo, uint64_t hi,
+                     std::vector<std::pair<uint64_t, uint64_t>>& out) {
+        out.emplace_back(lo, hi);
+      });
+      std::vector<std::pair<uint64_t, uint64_t>> seen;
+      uint64_t slots = 0;
+      ranges.ForEachInOrder(
+          [&](std::vector<std::pair<uint64_t, uint64_t>>& block) {
+            ++slots;
+            seen.insert(seen.end(), block.begin(), block.end());
+          });
+      std::vector<std::pair<uint64_t, uint64_t>> expected;
+      for (uint64_t lo = 0; lo < n; lo += kGrain) {
+        expected.emplace_back(lo, std::min(n, lo + kGrain));
+      }
+      EXPECT_EQ(slots, expected.size());
+      EXPECT_EQ(seen, expected);
+    }
   }
   ThreadPool::Default().Resize(0);
 }
