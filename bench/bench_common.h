@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "bench_support/artifact.h"
 #include "bench_support/report.h"
 #include "bench_support/runner.h"
 #include "core/datasets.h"
@@ -22,11 +23,6 @@
 #include "rt/sim_clock.h"
 
 namespace maze::bench {
-
-inline int ScaleAdjust(int extra = 0) {
-  const char* s = std::getenv("MAZE_SCALE_ADJUST");
-  return (s != nullptr ? std::atoi(s) : -2) + extra;
-}
 
 // Prints a bench banner tying the binary to its paper artifact, and configures
 // the modeled node width: benches charge compute as if each simulated rank were

@@ -9,7 +9,7 @@
 //   3. Drop-rate sweep (native PageRank): wire bytes must grow strictly with
 //      the drop rate — retransmissions are real traffic in the totals.
 //
-// Writes BENCH_pr4.json (path via MAZE_BENCH_JSON, default ./BENCH_pr4.json).
+// Writes BENCH_pr4.json (bench_support/artifact.h).
 // Fault-injection correctness across all engines is asserted by
 // tests/fault_injection_test.cc; this binary measures the overhead shapes.
 #include <cstdio>
@@ -52,7 +52,7 @@ int Main() {
   rt::PageRankOptions opt;
   opt.iterations = 5;
 
-  int failures = 0;
+  BenchArtifact artifact("BENCH_pr4.json", "fault_overhead");
 
   // --- 1. Checkpoint-interval sweep (bspgraph) ------------------------------
   // ckpt_lat=0.05 makes the modeled snapshot stall dominate host compute
@@ -85,11 +85,9 @@ int Main() {
     if (ckpt_cells[i].checkpoints <= ckpt_cells[i - 1].checkpoints ||
         ckpt_cells[i].recovery_seconds <= ckpt_cells[i - 1].recovery_seconds ||
         ckpt_cells[i].elapsed_seconds <= ckpt_cells[i - 1].elapsed_seconds) {
-      std::fprintf(stderr,
-                   "SELF-CHECK FAILED: checkpoint cost not strictly "
-                   "increasing between intervals %d and %d\n",
-                   ckpt_cells[i - 1].interval, ckpt_cells[i].interval);
-      ++failures;
+      artifact.Fail(
+          "checkpoint cost not strictly increasing between intervals %d and %d",
+          ckpt_cells[i - 1].interval, ckpt_cells[i].interval);
     }
   }
 
@@ -117,10 +115,7 @@ int Main() {
       recovered.metrics.recovery_seconds, mismatches);
   if (mismatches != 0 || recovered.metrics.crash_restarts != 1 ||
       recovered.metrics.recovery_seconds <= 0.0) {
-    std::fprintf(stderr,
-                 "SELF-CHECK FAILED: crash recovery did not reproduce the "
-                 "fault-free run\n");
-    ++failures;
+    artifact.Fail("crash recovery did not reproduce the fault-free run");
   }
 
   // --- 3. Drop-rate sweep (native) ------------------------------------------
@@ -153,66 +148,42 @@ int Main() {
   for (size_t i = 1; i < drop_cells.size(); ++i) {
     if (drop_cells[i].bytes <= drop_cells[i - 1].bytes ||
         drop_cells[i].retries <= drop_cells[i - 1].retries) {
-      std::fprintf(stderr,
-                   "SELF-CHECK FAILED: wire overhead not strictly increasing "
-                   "between drop rates %.2f and %.2f\n",
-                   drop_cells[i - 1].rate, drop_cells[i].rate);
-      ++failures;
+      artifact.Fail(
+          "wire overhead not strictly increasing between drop rates %.2f and "
+          "%.2f",
+          drop_cells[i - 1].rate, drop_cells[i].rate);
     }
   }
 
   // --- JSON artifact ---------------------------------------------------------
-  const char* out_env = std::getenv("MAZE_BENCH_JSON");
-  std::string out_path = out_env != nullptr ? out_env : "BENCH_pr4.json";
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  obs::JsonWriter& json = artifact.json();
+  json.Field("ranks", ranks).BeginArray("checkpoint_sweep");
+  for (const CkptCell& c : ckpt_cells) {
+    json.BeginObject()
+        .Field("interval", c.interval)
+        .Field("elapsed_seconds", c.elapsed_seconds)
+        .Field("recovery_seconds", c.recovery_seconds)
+        .Field("checkpoints", c.checkpoints)
+        .EndObject();
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"fault_overhead\",\n");
-  std::fprintf(f, "  \"scale_adjust\": %d,\n", ScaleAdjust());
-  std::fprintf(f, "  \"ranks\": %d,\n", ranks);
-  std::fprintf(f, "  \"checkpoint_sweep\": [\n");
-  for (size_t i = 0; i < ckpt_cells.size(); ++i) {
-    const CkptCell& c = ckpt_cells[i];
-    std::fprintf(f,
-                 "    {\"interval\": %d, \"elapsed_seconds\": %.6f, "
-                 "\"recovery_seconds\": %.6f, \"checkpoints\": %llu}%s\n",
-                 c.interval, c.elapsed_seconds, c.recovery_seconds,
-                 static_cast<unsigned long long>(c.checkpoints),
-                 i + 1 < ckpt_cells.size() ? "," : "");
+  json.EndArray()
+      .BeginObject("crash_recovery")
+      .Field("restarts", recovered.metrics.crash_restarts)
+      .Field("checkpoints", recovered.metrics.checkpoints_written)
+      .Field("recovery_seconds", recovered.metrics.recovery_seconds)
+      .Field("mismatched_vertices", mismatches)
+      .EndObject()
+      .BeginArray("drop_sweep");
+  for (const DropCell& c : drop_cells) {
+    json.BeginObject()
+        .Field("drop_rate", c.rate)
+        .Field("bytes_sent", c.bytes)
+        .Field("transport_retries", c.retries)
+        .Field("byte_overhead", c.overhead)
+        .EndObject();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"crash_recovery\": {\"restarts\": %llu, \"checkpoints\": "
-               "%llu, \"recovery_seconds\": %.6f, \"mismatched_vertices\": "
-               "%zu},\n",
-               static_cast<unsigned long long>(recovered.metrics.crash_restarts),
-               static_cast<unsigned long long>(
-                   recovered.metrics.checkpoints_written),
-               recovered.metrics.recovery_seconds, mismatches);
-  std::fprintf(f, "  \"drop_sweep\": [\n");
-  for (size_t i = 0; i < drop_cells.size(); ++i) {
-    const DropCell& c = drop_cells[i];
-    std::fprintf(f,
-                 "    {\"drop_rate\": %.2f, \"bytes_sent\": %llu, "
-                 "\"transport_retries\": %llu, \"byte_overhead\": %.4f}%s\n",
-                 c.rate, static_cast<unsigned long long>(c.bytes),
-                 static_cast<unsigned long long>(c.retries), c.overhead,
-                 i + 1 < drop_cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"self_check_failures\": %d\n", failures);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  if (failures != 0) {
-    std::fprintf(stderr, "%d self-check(s) failed\n", failures);
-    return 1;
-  }
-  std::printf("all self-checks passed\n");
-  return 0;
+  json.EndArray().Field("self_check_failures", artifact.violation_count());
+  return artifact.Finish();
 }
 
 }  // namespace

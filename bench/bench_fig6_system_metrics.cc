@@ -8,7 +8,6 @@
 // rank) bandwidth buckets partition each run's wire totals exactly.
 #include "bench/bench_common.h"
 
-#include "obs/json.h"
 #include "obs/resource.h"
 #include "rt/metrics.h"
 #include "util/table.h"
@@ -107,26 +106,6 @@ void CheckInvariants(const std::vector<Measurement>& all,
   }
 }
 
-void WriteBenchJson(const obs::ResourceReport& report,
-                    const std::vector<std::string>& violations) {
-  const char* env = std::getenv("MAZE_BENCH_JSON");
-  std::string path = (env != nullptr && env[0] != '\0') ? env : "BENCH_pr3.json";
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench json: cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n\"resource\": %s,\n\"violations\": [",
-               report.ToJson().c_str());
-  for (size_t i = 0; i < violations.size(); ++i) {
-    std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ",
-                 obs::JsonEscape(violations[i]).c_str());
-  }
-  std::fprintf(f, "],\n\"ok\": %s\n}\n", violations.empty() ? "true" : "false");
-  std::fclose(f);
-  std::printf("bench json: wrote %s\n", path.c_str());
-}
-
 int Run() {
   Banner("Figure 6: system-level metrics on 4-node runs");
   int adjust = ScaleAdjust();
@@ -175,17 +154,16 @@ int Run() {
   for (const Measurement& m : all) report.Add(ResourceRowFrom(m));
   std::printf("%s", report.ToMarkdown().c_str());
 
+  BenchArtifact artifact("BENCH_pr3.json", /*bench=*/"");
+  artifact.json().Key("resource").Raw(report.ToJson());
   std::vector<std::string> violations;
   CheckInvariants(all, pr, &violations);
-  WriteBenchJson(report, violations);
-  for (const std::string& v : violations) {
-    std::fprintf(stderr, "INVARIANT VIOLATION: %s\n", v.c_str());
-  }
+  for (const std::string& v : violations) artifact.Fail("%s", v.c_str());
   std::printf(
       "Paper shape: native/matblas reach the highest peak BW (MPI class),\n"
       "datalite ~2x vertexlab's socket rate, bspgraph lowest BW and CPU\n"
       "utilization, and bspgraph the largest memory and byte volumes.\n");
-  return violations.empty() ? 0 : 1;
+  return artifact.Finish();
 }
 
 }  // namespace

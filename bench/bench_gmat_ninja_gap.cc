@@ -14,7 +14,7 @@
 // A 4-rank sweep is reported for context but not gated (wire time enters and
 // the bound chases a different regime).
 //
-// Writes BENCH_gmat.json (path via MAZE_BENCH_JSON, default ./BENCH_gmat.json).
+// Writes BENCH_gmat.json (bench_support/artifact.h).
 #include "bench/bench_common.h"
 
 #include <cmath>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "obs/attrib.h"
-#include "obs/json.h"
 
 namespace maze::bench {
 namespace {
@@ -62,45 +61,6 @@ GapRow MakeRow(const Measurement& native, const Measurement& gmat,
   return row;
 }
 
-void WriteBenchJson(const std::vector<GapRow>& rows,
-                    const std::vector<std::string>& violations) {
-  const char* env = std::getenv("MAZE_BENCH_JSON");
-  std::string path =
-      (env != nullptr && env[0] != '\0') ? env : "BENCH_gmat.json";
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench json: cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n\"bench\": \"gmat\",\n\"scale_adjust\": %d,\n"
-               "\"tolerance\": %.3f,\n\"rows\": [\n",
-               ScaleAdjust(), Tolerance());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const GapRow& r = rows[i];
-    std::fprintf(f,
-                 "%s{\"algorithm\": \"%s\", \"ranks\": %d, "
-                 "\"native_elapsed_seconds\": %.9g, "
-                 "\"native_best_case_seconds\": %.9g, "
-                 "\"gmat_elapsed_seconds\": %.9g, "
-                 "\"vertexlab_elapsed_seconds\": %.9g, "
-                 "\"gmat_gap\": %.6g, \"vertexlab_gap\": %.6g, "
-                 "\"gated\": %s}",
-                 i == 0 ? "" : ",\n", r.algorithm.c_str(), r.ranks,
-                 r.native_elapsed, r.native_best_case, r.gmat_elapsed,
-                 r.vertexlab_elapsed, r.gmat_gap, r.vertexlab_gap,
-                 r.gated ? "true" : "false");
-  }
-  std::fprintf(f, "\n],\n\"violations\": [");
-  for (size_t i = 0; i < violations.size(); ++i) {
-    std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ",
-                 obs::JsonEscape(violations[i]).c_str());
-  }
-  std::fprintf(f, "],\n\"ok\": %s\n}\n", violations.empty() ? "true" : "false");
-  std::fclose(f);
-  std::printf("bench json: wrote %s\n", path.c_str());
-}
-
 int Run() {
   Banner("ROADMAP 1: gmat ninja gap vs native what-if bound (PR + BFS)");
   const int adjust = ScaleAdjust();
@@ -111,8 +71,7 @@ int Run() {
   undirected.Symmetrize();
 
   std::vector<GapRow> rows;
-  std::vector<std::string> violations;
-  auto fail = [&](const std::string& what) { violations.push_back(what); };
+  BenchArtifact artifact("BENCH_gmat.json", "gmat");
 
   for (int ranks : {1, 4}) {
     const bool gated = ranks == 1;  // Multi-rank is report-only (wire regime).
@@ -147,17 +106,17 @@ int Run() {
         r.gated ? "" : "  [report-only]");
     if (!r.gated) continue;
     if (!(r.native_best_case > 0)) {
-      fail(r.algorithm + ": native best-case bound is not positive");
+      artifact.Fail("%s: native best-case bound is not positive",
+                    r.algorithm.c_str());
       continue;
     }
     if (r.gmat_gap > tol) {
-      fail(r.algorithm + ": gmat gap " + std::to_string(r.gmat_gap) +
-           " exceeds tolerance " + std::to_string(tol));
+      artifact.Fail("%s: gmat gap %f exceeds tolerance %f",
+                    r.algorithm.c_str(), r.gmat_gap, tol);
     }
     if (!(r.gmat_gap < r.vertexlab_gap)) {
-      fail(r.algorithm + ": gmat gap " + std::to_string(r.gmat_gap) +
-           " does not beat the interpreter's " +
-           std::to_string(r.vertexlab_gap));
+      artifact.Fail("%s: gmat gap %f does not beat the interpreter's %f",
+                    r.algorithm.c_str(), r.gmat_gap, r.vertexlab_gap);
     }
   }
 
@@ -172,27 +131,39 @@ int Run() {
     auto native = RunPageRank(EngineKind::kNative, directed, opt, config);
     auto gmat = RunPageRank(EngineKind::kGmat, directed, opt, config);
     if (native.ranks != gmat.ranks) {
-      fail("pagerank: gmat ranks vector is not byte-identical to native");
+      artifact.Fail("pagerank: gmat ranks vector is not byte-identical to native");
     }
     rt::BfsOptions bopt;
     bopt.source = BusiestVertex(undirected);
     auto nbfs = RunBfs(EngineKind::kNative, undirected, bopt, config);
     auto gbfs = RunBfs(EngineKind::kGmat, undirected, bopt, config);
     if (nbfs.distance != gbfs.distance) {
-      fail("bfs: gmat distance vector differs from native");
+      artifact.Fail("bfs: gmat distance vector differs from native");
     }
   }
 
-  WriteBenchJson(rows, violations);
-  for (const std::string& v : violations) {
-    std::fprintf(stderr, "GATE VIOLATION: %s\n", v.c_str());
+  obs::JsonWriter& json = artifact.json();
+  json.Field("tolerance", tol).BeginArray("rows");
+  for (const GapRow& r : rows) {
+    json.BeginObject()
+        .Field("algorithm", r.algorithm)
+        .Field("ranks", r.ranks)
+        .Field("native_elapsed_seconds", r.native_elapsed)
+        .Field("native_best_case_seconds", r.native_best_case)
+        .Field("gmat_elapsed_seconds", r.gmat_elapsed)
+        .Field("vertexlab_elapsed_seconds", r.vertexlab_elapsed)
+        .Field("gmat_gap", r.gmat_gap)
+        .Field("vertexlab_gap", r.vertexlab_gap)
+        .Field("gated", r.gated)
+        .EndObject();
   }
+  json.EndArray();
   std::printf(
       "Paper shape (GraphMat, §6): compiling the vertex program to semiring\n"
       "SpMV closes most of the ninja gap — gmat tracks native's what-if bound\n"
       "within ~%.1fx while the interpreted engine pays the abstraction tax.\n",
       tol);
-  return violations.empty() ? 0 : 1;
+  return artifact.Finish();
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //      plus the allocation counters (the arena must collapse per-message heap
 //      allocations by >= 10x), with byte-identical results.
 //
-// Writes BENCH_hotpath.json (MAZE_BENCH_JSON overrides the path) and exits
+// Writes BENCH_hotpath.json (bench_support/artifact.h) and exits
 // non-zero if any equality self-check fails, the allocation ratio is < 10, or
 // the arena regresses past MAZE_HOTPATH_TOL (default 1.10: "arena-on may not
 // be more than 10% slower than arena-off" — improvement is the expected
@@ -100,13 +100,7 @@ int Main() {
   const int bsp_scale = 16 + ScaleAdjust(2);  // Boxed messages are expensive.
   const char* tol_env = std::getenv("MAZE_HOTPATH_TOL");
   const double tol = tol_env != nullptr ? std::atof(tol_env) : 1.10;
-  bool ok = true;
-  std::vector<std::string> failures;
-  auto fail = [&](const std::string& why) {
-    ok = false;
-    failures.push_back(why);
-    std::fprintf(stderr, "FAIL: %s\n", why.c_str());
-  };
+  BenchArtifact artifact("BENCH_hotpath.json", "hotpath");
 
   std::vector<Variant> variants;
   variants.push_back(ChurnVariant());
@@ -141,15 +135,16 @@ int Main() {
   variants.push_back(bsp_v);
 
   if (!BitIdentical(heap_result.ranks, arena_result.ranks)) {
-    fail("bspgraph PageRank results differ between arena off/on");
+    artifact.Fail("bspgraph PageRank results differ between arena off/on");
   }
   if (heap_result.metrics.bytes_sent != arena_result.metrics.bytes_sent ||
       heap_result.metrics.memory_msgbuf_bytes !=
           arena_result.metrics.memory_msgbuf_bytes) {
-    fail("bspgraph modeled costs differ between arena off/on");
+    artifact.Fail("bspgraph modeled costs differ between arena off/on");
   }
   if (heap_counters.heap_boxed == 0) {
-    fail("arena-off run recorded no heap boxes (counter plumbing broken)");
+    artifact.Fail(
+        "arena-off run recorded no heap boxes (counter plumbing broken)");
   }
   double alloc_ratio =
       arena_counters.pool_slab_allocations > 0
@@ -157,17 +152,14 @@ int Main() {
                 static_cast<double>(arena_counters.pool_slab_allocations)
           : 0;
   if (alloc_ratio < 10.0) {
-    fail("arena allocation-collapse ratio < 10x");
+    artifact.Fail("arena allocation-collapse ratio < 10x");
   }
 
   // --- Regression gate --------------------------------------------------------
   for (const Variant& v : variants) {
     if (v.gated && v.opt_ns > v.base_ns * tol) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "%s regressed: opt %.2f ns/%s vs base %.2f (tol %.2fx)",
+      artifact.Fail("%s regressed: opt %.2f ns/%s vs base %.2f (tol %.2fx)",
                     v.name.c_str(), v.opt_ns, v.unit, v.base_ns, tol);
-      fail(buf);
     }
   }
 
@@ -187,55 +179,31 @@ int Main() {
               static_cast<unsigned long long>(arena_counters.pool_reused),
               static_cast<unsigned long long>(heap_counters.heap_boxed));
 
-  const char* out_env = std::getenv("MAZE_BENCH_JSON");
-  std::string out_path = out_env != nullptr ? out_env : "BENCH_hotpath.json";
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  obs::JsonWriter& json = artifact.json();
+  json.Field("host_cores", host_cores)
+      .Field("pool_threads", pool_threads)
+      .Field("tolerance", tol)
+      .BeginArray("variants");
+  for (const Variant& v : variants) {
+    json.BeginObject()
+        .Field("name", v.name)
+        .Field("unit", v.unit)
+        .Field("gated", v.gated)
+        .Field("base_ns", v.base_ns)
+        .Field("opt_ns", v.opt_ns)
+        .Field("speedup", v.Speedup())
+        .EndObject();
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"hotpath\",\n");
-  std::fprintf(f, "  \"host_cores\": %u,\n", host_cores);
-  std::fprintf(f, "  \"pool_threads\": %u,\n", pool_threads);
-  std::fprintf(f, "  \"scale_adjust\": %d,\n", ScaleAdjust());
-  std::fprintf(f, "  \"tolerance\": %.3f,\n", tol);
-  std::fprintf(f, "  \"variants\": [\n");
-  for (size_t i = 0; i < variants.size(); ++i) {
-    const Variant& v = variants[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"unit\": \"%s\", \"gated\": %s, "
-                 "\"base_ns\": %.3f, \"opt_ns\": %.3f, \"speedup\": %.3f}%s\n",
-                 v.name.c_str(), v.unit, v.gated ? "true" : "false",
-                 v.base_ns, v.opt_ns, v.Speedup(),
-                 i + 1 < variants.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"arena\": {\n");
-  std::fprintf(f, "    \"boxed_requests\": %llu,\n",
-               static_cast<unsigned long long>(arena_counters.boxed_requests));
-  std::fprintf(f, "    \"pool_slab_allocations\": %llu,\n",
-               static_cast<unsigned long long>(
-                   arena_counters.pool_slab_allocations));
-  std::fprintf(f, "    \"pool_slab_bytes\": %llu,\n",
-               static_cast<unsigned long long>(arena_counters.pool_slab_bytes));
-  std::fprintf(f, "    \"pool_reused\": %llu,\n",
-               static_cast<unsigned long long>(arena_counters.pool_reused));
-  std::fprintf(f, "    \"heap_boxed_when_off\": %llu,\n",
-               static_cast<unsigned long long>(heap_counters.heap_boxed));
-  std::fprintf(f, "    \"alloc_collapse_ratio\": %.1f\n", alloc_ratio);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"ok\": %s\n", ok ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  if (!ok) {
-    for (const std::string& why : failures) {
-      std::fprintf(stderr, "hotpath gate: %s\n", why.c_str());
-    }
-    return 1;
-  }
-  return 0;
+  json.EndArray()
+      .BeginObject("arena")
+      .Field("boxed_requests", arena_counters.boxed_requests)
+      .Field("pool_slab_allocations", arena_counters.pool_slab_allocations)
+      .Field("pool_slab_bytes", arena_counters.pool_slab_bytes)
+      .Field("pool_reused", arena_counters.pool_reused)
+      .Field("heap_boxed_when_off", heap_counters.heap_boxed)
+      .Field("alloc_collapse_ratio", alloc_ratio)
+      .EndObject();
+  return artifact.Finish();
 }
 
 }  // namespace

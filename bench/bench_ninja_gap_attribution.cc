@@ -13,7 +13,7 @@
 //   3. per step, the component split sums back to that step's barrier time;
 //   4. imbalance factors are >= 1 and per-rank slack is >= 0.
 //
-// Writes BENCH_pr5.json (path via MAZE_BENCH_JSON, default ./BENCH_pr5.json).
+// Writes BENCH_pr5.json (bench_support/artifact.h).
 // Schedule invariance (serial vs rank-parallel byte-identical output) is
 // asserted by tests/attrib_differential_test.cc; this binary checks the
 // decomposition algebra on real engine runs and prints the report.
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "obs/attrib.h"
-#include "obs/json.h"
 #include "rt/metrics.h"
 
 namespace maze::bench {
@@ -40,10 +39,10 @@ bool RelClose(double a, double b, double rel) {
 bool AtMost(double a, double b) { return a <= b * (1.0 + 1e-9) + 1e-30; }
 
 void CheckRun(const Measurement& m, const obs::attrib::Attribution& a,
-              std::vector<std::string>* violations) {
-  std::string tag = std::string(EngineName(m.engine)) + "/" + m.algorithm;
+              BenchArtifact* artifact) {
   auto fail = [&](const std::string& what) {
-    violations->push_back(tag + ": " + what);
+    artifact->Fail("%s/%s: %s", EngineName(m.engine), m.algorithm.c_str(),
+                   what.c_str());
   };
 
   if (!a.available) {
@@ -101,26 +100,6 @@ void CheckRun(const Measurement& m, const obs::attrib::Attribution& a,
   }
 }
 
-void WriteBenchJson(const obs::attrib::AttributionReport& report,
-                    const std::vector<std::string>& violations) {
-  const char* env = std::getenv("MAZE_BENCH_JSON");
-  std::string path = (env != nullptr && env[0] != '\0') ? env : "BENCH_pr5.json";
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench json: cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n\"attribution\": %s,\n\"violations\": [",
-               report.ToJson().c_str());
-  for (size_t i = 0; i < violations.size(); ++i) {
-    std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ",
-                 obs::JsonEscape(violations[i]).c_str());
-  }
-  std::fprintf(f, "],\n\"ok\": %s\n}\n", violations.empty() ? "true" : "false");
-  std::fclose(f);
-  std::printf("bench json: wrote %s\n", path.c_str());
-}
-
 int Run() {
   Banner("PR 5: critical-path attribution & ninja gap (all engines, PR + BFS)");
   int adjust = ScaleAdjust();
@@ -130,7 +109,7 @@ int Run() {
   undirected.Symmetrize();
 
   obs::attrib::AttributionReport report;
-  std::vector<std::string> violations;
+  BenchArtifact artifact("BENCH_pr5.json", /*bench=*/"");
   for (EngineKind engine : AllEngines()) {
     // taskflow is the single-node family; everything else runs 4 ranks like
     // the paper's multi-node comparison.
@@ -145,22 +124,19 @@ int Run() {
       row.dataset = m.dataset;
       row.ranks = m.ranks;
       row.attribution = obs::attrib::Attribute(m.metrics);
-      CheckRun(m, row.attribution, &violations);
+      CheckRun(m, row.attribution, &artifact);
       report.Add(std::move(row));
     }
   }
 
   std::printf("%s\n", report.ToMarkdown().c_str());
-  WriteBenchJson(report, violations);
-  for (const std::string& v : violations) {
-    std::fprintf(stderr, "INVARIANT VIOLATION: %s\n", v.c_str());
-  }
+  artifact.json().Key("attribution").Raw(report.ToJson());
   std::printf(
       "Paper shape (§5.4): the framework engines spend most of their barrier\n"
       "time on the wire (network-bound), native keeps the largest compute\n"
       "share, and the bsp engine adds the widest imbalance-idle slice — the\n"
       "what-if columns quantify how much each gap is worth.\n");
-  return violations.empty() ? 0 : 1;
+  return artifact.Finish();
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // PR 2 artifact: host wall-clock of the rank-parallel schedule vs the serial
 // one-rank-at-a-time schedule, per engine, at 16 and 64 simulated ranks.
-// Writes BENCH_pr2.json (path via MAZE_BENCH_JSON, default ./BENCH_pr2.json)
-// with the raw seconds, the speedups, and the host's core count — the speedup
-// is bounded by the cores available, so a 1-core host honestly reports ~1x.
+// Writes BENCH_pr2.json (bench_support/artifact.h) with the raw seconds, the
+// speedups, and the host's core count — the speedup is bounded by the cores
+// available, so a 1-core host honestly reports ~1x.
 //
 // Correctness of the comparison (identical answers and identical modeled wire
 // totals between schedules) is asserted by tests/rank_parallel_test.cc; this
@@ -27,6 +27,9 @@ struct Cell {
   int ranks = 0;
   double serial_seconds = 0;
   double parallel_seconds = 0;
+  double Speedup() const {
+    return parallel_seconds > 0 ? serial_seconds / parallel_seconds : 0;
+  }
 };
 
 double TimeRun(int forced_serial, const std::function<void()>& run) {
@@ -86,43 +89,31 @@ int Main() {
   std::printf("%-10s %-9s %6s %12s %12s %8s\n", "engine", "algo", "ranks",
               "serial_s", "parallel_s", "speedup");
   for (const Cell& c : cells) {
-    double speedup =
-        c.parallel_seconds > 0 ? c.serial_seconds / c.parallel_seconds : 0;
     std::printf("%-10s %-9s %6d %12.4f %12.4f %7.2fx\n", c.engine.c_str(),
                 c.algo.c_str(), c.ranks, c.serial_seconds, c.parallel_seconds,
-                speedup);
+                c.Speedup());
   }
 
-  const char* out_env = std::getenv("MAZE_BENCH_JSON");
-  std::string out_path = out_env != nullptr ? out_env : "BENCH_pr2.json";
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  BenchArtifact artifact("BENCH_pr2.json", "rank_parallel_vs_serial");
+  obs::JsonWriter& json = artifact.json();
+  json.Field("host_cores", host_cores)
+      .Field("pool_threads", pool_threads)
+      .Field("note",
+             "speedup is bounded by host cores; on a 1-core host the "
+             "schedules tie by construction")
+      .BeginArray("cells");
+  for (const Cell& c : cells) {
+    json.BeginObject()
+        .Field("engine", c.engine)
+        .Field("algo", c.algo)
+        .Field("ranks", c.ranks)
+        .Field("serial_seconds", c.serial_seconds)
+        .Field("parallel_seconds", c.parallel_seconds)
+        .Field("speedup", c.Speedup())
+        .EndObject();
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"rank_parallel_vs_serial\",\n");
-  std::fprintf(f, "  \"host_cores\": %u,\n", host_cores);
-  std::fprintf(f, "  \"pool_threads\": %u,\n", pool_threads);
-  std::fprintf(f, "  \"scale_adjust\": %d,\n", ScaleAdjust());
-  std::fprintf(f, "  \"note\": \"speedup is bounded by host cores; on a 1-core host the schedules tie by construction\",\n");
-  std::fprintf(f, "  \"cells\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    double speedup =
-        c.parallel_seconds > 0 ? c.serial_seconds / c.parallel_seconds : 0;
-    std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"algo\": \"%s\", \"ranks\": %d, "
-                 "\"serial_seconds\": %.6f, \"parallel_seconds\": %.6f, "
-                 "\"speedup\": %.3f}%s\n",
-                 c.engine.c_str(), c.algo.c_str(), c.ranks, c.serial_seconds,
-                 c.parallel_seconds, speedup,
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  json.EndArray();
+  return artifact.Finish();
 }
 
 }  // namespace

@@ -26,8 +26,7 @@
 //      trips the watchdog into byte-identical bills dumps (canonical fields
 //      only; the dump names the same top-cost request ids either way).
 //
-// Writes BENCH_serve.json (path via MAZE_BENCH_JSON, default
-// ./BENCH_serve.json).
+// Writes BENCH_serve.json (bench_support/artifact.h).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -176,7 +175,7 @@ std::string SloTripDumpForSchedule(int forced_serial,
 int Main() {
   Banner("BENCH_serve: concurrent query service under closed-loop load "
          "(PR 6 artifact)");
-  int failures = 0;
+  BenchArtifact artifact("BENCH_serve.json", "serve");
 
   const std::vector<Request> mix = RequestMix();
 
@@ -189,9 +188,8 @@ int Main() {
     for (const Request& r : mix) {
       Response resp = solo.Call(r);
       if (!resp.status.ok()) {
-        std::fprintf(stderr, "FAIL: solo %s: %s\n", VariantKey(r).c_str(),
-                     resp.status.ToString().c_str());
-        ++failures;
+        artifact.Fail("solo %s: %s", VariantKey(r).c_str(),
+                      resp.status.ToString().c_str());
         continue;
       }
       expected[VariantKey(r)] = resp.payload;
@@ -219,7 +217,7 @@ int Main() {
 
     std::mutex mu;
     std::vector<double> latencies;
-    uint64_t mismatches = 0, errors = 0;
+    uint64_t mismatches = 0;
     auto t0 = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
@@ -229,18 +227,15 @@ int Main() {
           Response resp = service.Call(r);
           std::lock_guard<std::mutex> lock(mu);
           if (!resp.status.ok()) {
-            ++errors;
-            std::fprintf(stderr, "FAIL: clients=%d %s: %s\n", clients,
-                         VariantKey(r).c_str(),
-                         resp.status.ToString().c_str());
+            artifact.Fail("clients=%d %s: %s", clients, VariantKey(r).c_str(),
+                          resp.status.ToString().c_str());
           } else if (resp.payload != expected[VariantKey(r)]) {
             ++mismatches;
-            std::fprintf(stderr,
-                         "FAIL: clients=%d %s: payload diverges from solo run "
-                         "(hit=%d dedup=%d epoch=%llu)\n",
-                         clients, VariantKey(r).c_str(), resp.cache_hit,
-                         resp.deduped,
-                         static_cast<unsigned long long>(resp.epoch));
+            artifact.Fail(
+                "clients=%d %s: payload diverges from solo run (hit=%d "
+                "dedup=%d epoch=%llu)",
+                clients, VariantKey(r).c_str(), resp.cache_hit, resp.deduped,
+                static_cast<unsigned long long>(resp.epoch));
           }
           latencies.push_back(resp.latency_seconds);
         }
@@ -272,13 +267,11 @@ int Main() {
 
     identity_mismatches += mismatches;
     closed_loop_rejects += row.rejected;
-    failures += static_cast<int>(mismatches + errors);
     if (row.rejected != 0) {
-      std::fprintf(stderr,
-                   "FAIL: clients=%d: %llu rejections in a closed loop whose "
-                   "queue depth exceeds the client count\n",
-                   clients, static_cast<unsigned long long>(row.rejected));
-      ++failures;
+      artifact.Fail(
+          "clients=%d: %llu rejections in a closed loop whose queue depth "
+          "exceeds the client count",
+          clients, static_cast<unsigned long long>(row.rejected));
     }
     std::printf(
         "clients=%2d  %6llu req  %7.1f req/s  p50 %7.3f ms  p99 %7.3f ms  "
@@ -336,13 +329,12 @@ int Main() {
       admission_exact = false;
     }
     if (!admission_exact) {
-      std::fprintf(stderr,
-                   "FAIL: admission not exact: admitted=%llu rejected=%llu "
-                   "dedup=%llu (want 4/3/1)\n",
-                   static_cast<unsigned long long>(s.admitted),
-                   static_cast<unsigned long long>(s.rejected),
-                   static_cast<unsigned long long>(s.dedup_joined));
-      ++failures;
+      artifact.Fail(
+          "admission not exact: admitted=%llu rejected=%llu dedup=%llu (want "
+          "4/3/1)",
+          static_cast<unsigned long long>(s.admitted),
+          static_cast<unsigned long long>(s.rejected),
+          static_cast<unsigned long long>(s.dedup_joined));
     }
   }
 
@@ -355,9 +347,7 @@ int Main() {
     r.faults = "seed=" + std::to_string(seed) + ",straggle=0x64";
     Response resp = service.Call(r);
     if (!resp.status.ok()) {
-      std::fprintf(stderr, "FAIL: faulted tail: %s\n",
-                   resp.status.ToString().c_str());
-      ++failures;
+      artifact.Fail("faulted tail: %s", resp.status.ToString().c_str());
     }
   }
   service.Drain();
@@ -365,11 +355,9 @@ int Main() {
   const bool bills_conserve =
       serve::BillsConserve(ledger.flights, ledger.billed);
   if (!bills_conserve) {
-    std::fprintf(stderr,
-                 "FAIL: bill conservation: flights %s\n  vs billed %s\n",
-                 ledger.flights.ToJson().c_str(),
-                 ledger.billed.ToJson().c_str());
-    ++failures;
+    artifact.Fail("bill conservation: flights %s vs billed %s",
+                  ledger.flights.ToJson().c_str(),
+                  ledger.billed.ToJson().c_str());
   }
 
   // --- SLO-trip forensic determinism (check 5) ------------------------------
@@ -383,20 +371,16 @@ int Main() {
       serial_dump.find("\"top\"") != std::string::npos &&
       serial_dump.find("\"faults_injected\"") != std::string::npos;
   if (!dump_stable) {
-    std::fprintf(stderr,
-                 "FAIL: SLO-trip dump differs across schedules "
-                 "(%zu vs %zu bytes); kept %s / %s for diffing\n",
-                 serial_dump.size(), parallel_dump.size(),
-                 dump_serial.c_str(), dump_parallel.c_str());
-    ++failures;
+    artifact.Fail(
+        "SLO-trip dump differs across schedules (%zu vs %zu bytes); kept %s / "
+        "%s for diffing",
+        serial_dump.size(), parallel_dump.size(), dump_serial.c_str(),
+        dump_parallel.c_str());
   } else {
     std::remove(dump_serial.c_str());
     std::remove(dump_parallel.c_str());
   }
-  if (!dump_names_culprit) {
-    std::fprintf(stderr, "FAIL: SLO-trip dump names no culprits\n");
-    ++failures;
-  }
+  if (!dump_names_culprit) artifact.Fail("SLO-trip dump names no culprits");
 
   std::printf("self-check: identity %s, closed-loop rejects %s, "
               "admission bound %s, bill conservation %s, slo dump %s\n",
@@ -407,58 +391,38 @@ int Main() {
               dump_stable && dump_names_culprit ? "ok" : "FAILED");
 
   // --- BENCH_serve.json ----------------------------------------------------
-  const char* out_env = std::getenv("MAZE_BENCH_JSON");
-  std::string out_path = out_env != nullptr ? out_env : "BENCH_serve.json";
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  obs::JsonWriter& json = artifact.json();
+  json.Field("request_mix", mix.size()).BeginArray("sweep");
+  for (const SweepRow& r : rows) {
+    json.BeginObject()
+        .Field("clients", r.clients)
+        .Field("requests", r.requests)
+        .Field("seconds", r.seconds)
+        .Field("throughput_rps", r.throughput_rps)
+        .Field("p50_ms", r.p50_ms)
+        .Field("p99_ms", r.p99_ms)
+        .Field("hit_rate", r.hit_rate)
+        .Field("dedup_rate", r.dedup_rate)
+        .Field("rejected", r.rejected)
+        .EndObject();
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"serve\",\n");
-  std::fprintf(f, "  \"scale_adjust\": %d,\n", ScaleAdjust());
-  std::fprintf(f, "  \"request_mix\": %zu,\n", mix.size());
-  std::fprintf(f, "  \"sweep\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"clients\": %d, \"requests\": %llu, \"seconds\": %.6f, "
-                 "\"throughput_rps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": "
-                 "%.3f, \"hit_rate\": %.4f, \"dedup_rate\": %.4f, "
-                 "\"rejected\": %llu}%s\n",
-                 r.clients, static_cast<unsigned long long>(r.requests),
-                 r.seconds, r.throughput_rps, r.p50_ms, r.p99_ms, r.hit_rate,
-                 r.dedup_rate, static_cast<unsigned long long>(r.rejected),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"admission_check\": {\"admitted\": %llu, \"rejected\": "
-               "%llu, \"dedup_joined\": %llu, \"exact\": %s},\n",
-               static_cast<unsigned long long>(paused_admitted),
-               static_cast<unsigned long long>(paused_rejects),
-               static_cast<unsigned long long>(paused_dedup),
-               admission_exact ? "true" : "false");
-  std::fprintf(f, "  \"identity_mismatches\": %llu,\n",
-               static_cast<unsigned long long>(identity_mismatches));
-  std::fprintf(f,
-               "  \"bill_conservation\": {\"flights\": %s, \"billed\": %s, "
-               "\"conserved\": %s},\n",
-               ledger.flights.ToJson().c_str(),
-               ledger.billed.ToJson().c_str(),
-               bills_conserve ? "true" : "false");
-  std::fprintf(f, "  \"slo_dump_stable\": %s,\n",
-               dump_stable && dump_names_culprit ? "true" : "false");
-  std::fprintf(f, "  \"ok\": %s\n", failures == 0 ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (failures != 0) {
-    std::fprintf(stderr, "bench_serve: %d self-check failure(s)\n", failures);
-    return 1;
-  }
-  return 0;
+  json.EndArray()
+      .BeginObject("admission_check")
+      .Field("admitted", paused_admitted)
+      .Field("rejected", paused_rejects)
+      .Field("dedup_joined", paused_dedup)
+      .Field("exact", admission_exact)
+      .EndObject()
+      .Field("identity_mismatches", identity_mismatches)
+      .BeginObject("bill_conservation")
+      .Key("flights")
+      .Raw(ledger.flights.ToJson())
+      .Key("billed")
+      .Raw(ledger.billed.ToJson())
+      .Field("conserved", bills_conserve)
+      .EndObject()
+      .Field("slo_dump_stable", dump_stable && dump_names_culprit);
+  return artifact.Finish();
 }
 
 }  // namespace

@@ -22,7 +22,7 @@
 // and the straggled payload must equal the clean payload (faults dilate the
 // modeled clock, never the answer).
 //
-// Writes BENCH_telemetry.json (path via MAZE_BENCH_JSON).
+// Writes BENCH_telemetry.json (bench_support/artifact.h).
 //
 // Also: `bench_telemetry --check FILE` validates an OpenMetrics exposition
 // file and exits 0/1 — CI uses it to vet a curl'd /metrics scrape.
@@ -31,7 +31,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -85,22 +85,9 @@ struct ScrapeGate {
   bool monotonic = true;
   bool exemplars_seen = false;
   bool reconciled = true;
-  std::vector<std::string> mismatches;
 };
 
-// One exact equality; records the mismatch instead of aborting so the JSON
-// artifact shows every divergent counter at once.
-void MustEqual(ScrapeGate* gate, const std::string& what, uint64_t scraped,
-               uint64_t stats) {
-  if (scraped == stats) return;
-  gate->reconciled = false;
-  std::ostringstream os;
-  os << what << ": scraped " << scraped << " != stats " << stats;
-  gate->mismatches.push_back(os.str());
-  std::fprintf(stderr, "FAIL: reconcile %s\n", os.str().c_str());
-}
-
-ScrapeGate RunScrapeGate(int* failures) {
+ScrapeGate RunScrapeGate(BenchArtifact* artifact) {
   ScrapeGate gate;
   obs::ResetCountersAndHistograms();
   obs::ResetExemplars();
@@ -125,18 +112,13 @@ ScrapeGate RunScrapeGate(int* failures) {
   };
   constexpr int kClients = 4;
   constexpr int kRequestsPerClient = 18;
-  std::mutex mu;
-  uint64_t errors = 0;
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kRequestsPerClient; ++i) {
         Response resp = service.Call(mix[(c + i) % mix.size()]);
         if (!resp.status.ok()) {
-          std::lock_guard<std::mutex> lock(mu);
-          ++errors;
-          std::fprintf(stderr, "FAIL: serve error: %s\n",
-                       resp.status.ToString().c_str());
+          artifact->Fail("serve error: %s", resp.status.ToString().c_str());
         }
       }
     });
@@ -148,24 +130,21 @@ ScrapeGate RunScrapeGate(int* failures) {
     auto body = obs::HttpGet(endpoint.port(), "/metrics");
     if (!body.ok()) {
       gate.valid = false;
-      std::fprintf(stderr, "FAIL: %s pull: %s\n", when,
-                   body.status().ToString().c_str());
+      artifact->Fail("%s pull: %s", when, body.status().ToString().c_str());
       return std::string();
     }
     ++gate.pulls;
     OpenMetricsChecker checker(body.value());
     if (!checker.Valid()) {
       gate.valid = false;
-      std::fprintf(stderr, "FAIL: %s pull invalid: %s\n", when,
-                   checker.error().c_str());
+      artifact->Fail("%s pull invalid: %s", when, checker.error().c_str());
     }
     if (!prev_body.empty()) {
       std::string why;
       if (!OpenMetricsChecker::CheckMonotonic(OpenMetricsChecker(prev_body),
                                               checker, &why)) {
         gate.monotonic = false;
-        std::fprintf(stderr, "FAIL: %s pull not monotone: %s\n", when,
-                     why.c_str());
+        artifact->Fail("%s pull not monotone: %s", when, why.c_str());
       }
     }
     prev_body = body.value();
@@ -180,15 +159,14 @@ ScrapeGate RunScrapeGate(int* failures) {
   service.Drain();
   const std::string final_body = pull("post-drain");
   endpoint.Stop();
-  *failures += static_cast<int>(errors);
   if (final_body.empty()) {
-    ++*failures;
+    artifact->Fail("post-drain scrape returned no body");
     return gate;
   }
   gate.exemplars_seen =
       final_body.find("# {request_id=\"") != std::string::npos;
   if (!gate.exemplars_seen) {
-    std::fprintf(stderr, "FAIL: no request-id exemplars in final scrape\n");
+    artifact->Fail("no request-id exemplars in final scrape");
   }
 
   // Exact reconciliation against the post-Drain report. The scrape is
@@ -198,58 +176,58 @@ ScrapeGate RunScrapeGate(int* failures) {
   OpenMetricsChecker checker(final_body);
   MAZE_CHECK(checker.Valid());
   const auto& counters = checker.counters();
-  auto scraped = [&](const std::string& family) -> uint64_t {
-    auto it = counters.find(family);
-    if (it == counters.end()) {
-      gate.reconciled = false;
-      gate.mismatches.push_back(family + ": missing from exposition");
-      return ~uint64_t{0};
+  // One exact equality; records the mismatch instead of aborting so the
+  // artifact lists every divergent counter at once.
+  auto must_equal = [&](const char* what, std::optional<uint64_t> got,
+                        uint64_t want) {
+    if (got == want) return;
+    gate.reconciled = false;
+    if (got) {
+      artifact->Fail("reconcile %s: scraped %llu != stats %llu", what,
+                     static_cast<unsigned long long>(*got),
+                     static_cast<unsigned long long>(want));
+    } else {
+      artifact->Fail("reconcile %s: missing from exposition", what);
     }
+  };
+  auto scraped = [&](const std::string& family) -> std::optional<uint64_t> {
+    auto it = counters.find(family);
+    if (it == counters.end()) return std::nullopt;
     return it->second;
   };
-  MustEqual(&gate, "submitted", scraped("maze_serve_submitted"),
-            stats.submitted);
-  MustEqual(&gate, "rejected", scraped("maze_serve_rejected"), stats.rejected);
-  MustEqual(&gate, "shed", scraped("maze_serve_shed"), stats.shed);
-  MustEqual(&gate, "invalid", scraped("maze_serve_invalid"), stats.invalid);
-  MustEqual(&gate, "cache_hit", scraped("maze_serve_cache_hit"),
-            stats.cache_hits);
-  MustEqual(&gate, "dedup_joined", scraped("maze_serve_dedup_joined"),
-            stats.dedup_joined);
-  MustEqual(&gate, "admitted", scraped("maze_serve_admitted"), stats.admitted);
-  MustEqual(&gate, "executed", scraped("maze_serve_executed"), stats.executed);
-  MustEqual(&gate, "exec_failed", scraped("maze_serve_exec_failed"),
-            stats.exec_failed);
-  MustEqual(&gate, "completed", scraped("maze_serve_completed"),
-            stats.completed);
-  MustEqual(&gate, "failed", scraped("maze_serve_failed"), stats.failed);
-  MustEqual(&gate, "expired", scraped("maze_serve_expired"), stats.expired);
+  must_equal("submitted", scraped("maze_serve_submitted"), stats.submitted);
+  must_equal("rejected", scraped("maze_serve_rejected"), stats.rejected);
+  must_equal("shed", scraped("maze_serve_shed"), stats.shed);
+  must_equal("invalid", scraped("maze_serve_invalid"), stats.invalid);
+  must_equal("cache_hit", scraped("maze_serve_cache_hit"), stats.cache_hits);
+  must_equal("dedup_joined", scraped("maze_serve_dedup_joined"),
+             stats.dedup_joined);
+  must_equal("admitted", scraped("maze_serve_admitted"), stats.admitted);
+  must_equal("executed", scraped("maze_serve_executed"), stats.executed);
+  must_equal("exec_failed", scraped("maze_serve_exec_failed"),
+             stats.exec_failed);
+  must_equal("completed", scraped("maze_serve_completed"), stats.completed);
+  must_equal("failed", scraped("maze_serve_failed"), stats.failed);
+  must_equal("expired", scraped("maze_serve_expired"), stats.expired);
   // SLO accounting covers paid work only: cache hits are excluded.
-  MustEqual(&gate, "slo_requests", scraped("maze_serve_slo_requests"),
-            stats.completed - stats.cache_hits);
-  MustEqual(&gate, "slo_over_target (unarmed)",
-            scraped("maze_serve_slo_over_target"), 0);
+  must_equal("slo_requests", scraped("maze_serve_slo_requests"),
+             stats.completed - stats.cache_hits);
+  must_equal("slo_over_target (unarmed)",
+             scraped("maze_serve_slo_over_target"), 0);
   // Latency is recorded for every answered request; modeled time only for
   // paid executions.
   const auto& hists = checker.histograms();
-  auto hist_count = [&](const std::string& family) -> uint64_t {
-    auto it = hists.find(family);
-    if (it == hists.end() || !it->second.has_count) {
-      gate.reconciled = false;
-      gate.mismatches.push_back(family + ": missing histogram _count");
-      return ~uint64_t{0};
-    }
-    return it->second.count;
-  };
-  MustEqual(&gate, "latency_us count", hist_count("maze_serve_latency_us"),
-            stats.completed + stats.failed + stats.expired);
-  MustEqual(&gate, "modeled_us count", hist_count("maze_serve_modeled_us"),
-            stats.completed - stats.cache_hits);
+  auto hist_count =
+      [&](const std::string& family) -> std::optional<uint64_t> {
+        auto it = hists.find(family);
+        if (it == hists.end() || !it->second.has_count) return std::nullopt;
+        return it->second.count;
+      };
+  must_equal("latency_us count", hist_count("maze_serve_latency_us"),
+             stats.completed + stats.failed + stats.expired);
+  must_equal("modeled_us count", hist_count("maze_serve_modeled_us"),
+             stats.completed - stats.cache_hits);
 
-  if (!gate.valid || !gate.monotonic || !gate.exemplars_seen ||
-      !gate.reconciled) {
-    ++*failures;
-  }
   std::printf(
       "scrape gate: %d pulls, valid %s, monotone %s, exemplars %s, "
       "reconciled %s (%llu submitted, %llu cache hits, %llu dedup)\n",
@@ -265,7 +243,6 @@ ScrapeGate RunScrapeGate(int* failures) {
 // --- Phase 2: watchdog spike/shed/recovery, serial vs rank-parallel ----------
 
 struct WatchdogRun {
-  bool ok = true;
   double target_ms = 0;
   std::vector<std::string> events;
   uint64_t shed = 0;
@@ -278,7 +255,7 @@ struct WatchdogRun {
 
 constexpr char kSpikeFaults[] = "seed=1,straggle=0x4096";
 
-WatchdogRun RunWatchdogScenario(bool serial) {
+WatchdogRun RunWatchdogScenario(bool serial, BenchArtifact* artifact) {
   rt::SetSerialRanks(serial ? 1 : 0);
   WatchdogRun run;
 
@@ -295,8 +272,7 @@ WatchdogRun RunWatchdogScenario(bool serial) {
   // derive the identical value — a precondition for byte-stable event logs.
   Response probe = service.Call(MakeRequest("pagerank", 2, 0, /*ranks=*/4));
   if (!probe.status.ok()) {
-    std::fprintf(stderr, "FAIL: probe: %s\n", probe.status.ToString().c_str());
-    run.ok = false;
+    artifact->Fail("probe: %s", probe.status.ToString().c_str());
     return run;
   }
   run.target_ms = probe.modeled_seconds * 1e3 * 8;
@@ -323,14 +299,14 @@ WatchdogRun RunWatchdogScenario(bool serial) {
   std::map<int, std::string> clean_payloads;
   for (int it : {3, 4, 5}) {
     Response r = call(it, "");
-    if (!r.status.ok()) run.ok = false;
+    if (!r.status.ok()) {
+      artifact->Fail("clean it=%d: %s", it, r.status.ToString().c_str());
+    }
     clean_payloads[it] = r.payload;
   }
   telemetry.ScrapeOnce();
   if (watchdog.level() != 0) {
-    std::fprintf(stderr, "FAIL: degraded on clean window (level %d)\n",
-                 watchdog.level());
-    run.ok = false;
+    artifact->Fail("degraded on clean window (level %d)", watchdog.level());
   }
 
   // Window 2 — spike: the same three requests under a straggler fault plan.
@@ -338,25 +314,22 @@ WatchdogRun RunWatchdogScenario(bool serial) {
   // modeled clock: burn = (3/3)/0.01 = 100 >= 2x threshold, straight to 2.
   for (int it : {3, 4, 5}) {
     Response r = call(it, kSpikeFaults);
-    if (!r.status.ok()) run.ok = false;
+    if (!r.status.ok()) {
+      artifact->Fail("straggled it=%d: %s", it, r.status.ToString().c_str());
+    }
     if (r.payload != clean_payloads[it]) {
       run.payload_stable = false;
-      std::fprintf(stderr,
-                   "FAIL: straggled payload diverges from clean (it=%d)\n", it);
+      artifact->Fail("straggled payload diverges from clean (it=%d)", it);
     }
     if (r.modeled_seconds * 1e3 <= run.target_ms) {
-      std::fprintf(stderr,
-                   "FAIL: straggled modeled time %.3f ms under target %.3f ms\n",
-                   r.modeled_seconds * 1e3, run.target_ms);
-      run.ok = false;
+      artifact->Fail("straggled modeled time %.3f ms under target %.3f ms",
+                     r.modeled_seconds * 1e3, run.target_ms);
     }
   }
   telemetry.ScrapeOnce();
   run.peak_level = watchdog.level();
   if (run.peak_level != 2) {
-    std::fprintf(stderr, "FAIL: spike window left level %d, want 2\n",
-                 run.peak_level);
-    run.ok = false;
+    artifact->Fail("spike window left level %d, want 2", run.peak_level);
   }
 
   // Window 3 — degraded service: a fresh key is shed, a cached key is served.
@@ -366,7 +339,7 @@ WatchdogRun RunWatchdogScenario(bool serial) {
     if (miss.status.code() != StatusCode::kUnavailable || !hit.status.ok() ||
         !hit.cache_hit) {
       run.shed_then_served = false;
-      std::fprintf(stderr, "FAIL: level 2 must shed misses and serve hits\n");
+      artifact->Fail("level 2 must shed misses and serve hits");
     }
   }
   // Windows 3..6 — idle (shed and cache-hit traffic is excluded from SLO
@@ -374,15 +347,13 @@ WatchdogRun RunWatchdogScenario(bool serial) {
   for (int w = 0; w < 4; ++w) telemetry.ScrapeOnce();
   run.final_level = watchdog.level();
   if (run.final_level != 0) {
-    std::fprintf(stderr, "FAIL: recovery stalled at level %d\n",
-                 run.final_level);
-    run.ok = false;
+    artifact->Fail("recovery stalled at level %d", run.final_level);
   }
   {
     Response after = call(9, "");
     if (!after.status.ok()) {
       run.shed_then_served = false;
-      std::fprintf(stderr, "FAIL: recovered service still shedding\n");
+      artifact->Fail("recovered service still shedding");
     }
   }
 
@@ -391,29 +362,11 @@ WatchdogRun RunWatchdogScenario(bool serial) {
   run.shed = service.Stats().shed;
   for (const std::string& e : run.events) {
     if (!testutil::JsonChecker(e).Valid()) {
-      std::fprintf(stderr, "FAIL: event not valid JSON: %s\n", e.c_str());
-      run.ok = false;
+      artifact->Fail("event not valid JSON: %s", e.c_str());
     }
   }
-  if (run.shed == 0) {
-    std::fprintf(stderr, "FAIL: no requests shed during degradation\n");
-    run.ok = false;
-  }
-  if (!run.payload_stable || !run.shed_then_served) run.ok = false;
+  if (run.shed == 0) artifact->Fail("no requests shed during degradation");
   return run;
-}
-
-std::string JsonStringArray(const std::vector<std::string>& lines,
-                            const std::string& indent) {
-  // Event lines are themselves JSON objects; embed them raw.
-  std::ostringstream os;
-  os << "[\n";
-  for (size_t i = 0; i < lines.size(); ++i) {
-    os << indent << "  " << lines[i] << (i + 1 < lines.size() ? "," : "")
-       << "\n";
-  }
-  os << indent << "]";
-  return os.str();
 }
 
 int CheckExpositionFile(const char* path) {
@@ -439,27 +392,26 @@ int CheckExpositionFile(const char* path) {
 int Main() {
   Banner("BENCH_telemetry: live scrape gate + SLO watchdog spike/recovery "
          "(PR 8 artifact)");
-  int failures = 0;
+  BenchArtifact artifact("BENCH_telemetry.json", "telemetry");
 
-  const ScrapeGate gate = RunScrapeGate(&failures);
+  const ScrapeGate gate = RunScrapeGate(&artifact);
 
-  const WatchdogRun serial = RunWatchdogScenario(/*serial=*/true);
-  const WatchdogRun parallel = RunWatchdogScenario(/*serial=*/false);
+  const WatchdogRun serial = RunWatchdogScenario(/*serial=*/true, &artifact);
+  const WatchdogRun parallel =
+      RunWatchdogScenario(/*serial=*/false, &artifact);
   rt::SetSerialRanks(-1);
-  if (!serial.ok || !parallel.ok) ++failures;
   const bool byte_stable = serial.events == parallel.events;
   if (!byte_stable) {
-    std::fprintf(stderr,
-                 "FAIL: watchdog events diverge between schedules "
-                 "(%zu serial vs %zu parallel lines)\n",
-                 serial.events.size(), parallel.events.size());
+    artifact.Fail(
+        "watchdog events diverge between schedules (%zu serial vs %zu "
+        "parallel lines)",
+        serial.events.size(), parallel.events.size());
     for (const std::string& e : serial.events) {
       std::fprintf(stderr, "  serial:   %s\n", e.c_str());
     }
     for (const std::string& e : parallel.events) {
       std::fprintf(stderr, "  parallel: %s\n", e.c_str());
     }
-    ++failures;
   }
   std::printf(
       "watchdog: target %.3f ms, peak level %d, final level %d, %llu shed, "
@@ -470,52 +422,28 @@ int Main() {
       byte_stable ? "ok" : "FAILED");
   for (const std::string& e : serial.events) std::printf("  %s\n", e.c_str());
 
-  const char* out_env = std::getenv("MAZE_BENCH_JSON");
-  std::string out_path =
-      out_env != nullptr ? out_env : "BENCH_telemetry.json";
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"telemetry\",\n");
-  std::fprintf(f, "  \"scale_adjust\": %d,\n", ScaleAdjust());
-  std::fprintf(f,
-               "  \"scrape_gate\": {\"pulls\": %d, \"valid\": %s, "
-               "\"monotonic\": %s, \"exemplars_seen\": %s, "
-               "\"reconciled\": %s},\n",
-               gate.pulls, gate.valid ? "true" : "false",
-               gate.monotonic ? "true" : "false",
-               gate.exemplars_seen ? "true" : "false",
-               gate.reconciled ? "true" : "false");
-  std::fprintf(f, "  \"watchdog\": {\n");
-  std::fprintf(f, "    \"spike_faults\": \"%s\",\n", kSpikeFaults);
-  std::fprintf(f, "    \"peak_level\": %d,\n", serial.peak_level);
-  std::fprintf(f, "    \"final_level\": %d,\n", serial.final_level);
-  std::fprintf(f, "    \"shed\": %llu,\n",
-               static_cast<unsigned long long>(serial.shed));
-  std::fprintf(f, "    \"windows\": %llu,\n",
-               static_cast<unsigned long long>(serial.windows));
-  std::fprintf(f, "    \"payload_stable_under_faults\": %s,\n",
-               serial.payload_stable && parallel.payload_stable ? "true"
-                                                                : "false");
-  std::fprintf(f, "    \"byte_stable_across_schedules\": %s,\n",
-               byte_stable ? "true" : "false");
-  std::fprintf(f, "    \"events\": %s\n",
-               JsonStringArray(serial.events, "    ").c_str());
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"ok\": %s\n", failures == 0 ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (failures != 0) {
-    std::fprintf(stderr, "bench_telemetry: %d self-check failure(s)\n",
-                 failures);
-    return 1;
-  }
-  return 0;
+  obs::JsonWriter& json = artifact.json();
+  json.BeginObject("scrape_gate")
+      .Field("pulls", gate.pulls)
+      .Field("valid", gate.valid)
+      .Field("monotonic", gate.monotonic)
+      .Field("exemplars_seen", gate.exemplars_seen)
+      .Field("reconciled", gate.reconciled)
+      .EndObject()
+      .BeginObject("watchdog")
+      .Field("spike_faults", kSpikeFaults)
+      .Field("peak_level", serial.peak_level)
+      .Field("final_level", serial.final_level)
+      .Field("shed", serial.shed)
+      .Field("windows", serial.windows)
+      .Field("payload_stable_under_faults",
+             serial.payload_stable && parallel.payload_stable)
+      .Field("byte_stable_across_schedules", byte_stable)
+      .BeginArray("events");
+  // Event lines are themselves JSON objects; embed them raw.
+  for (const std::string& e : serial.events) json.Raw(e);
+  json.EndArray().EndObject();
+  return artifact.Finish();
 }
 
 }  // namespace

@@ -239,6 +239,18 @@ Status CmdDatasets(std::ostream& out) {
   return Status::OK();
 }
 
+// A default RunConfig (and every engine config) reads MAZE_FAULTS through
+// rt::fault::SpecFromEnv, which aborts on a malformed plan. run and serve vet
+// the variable here first, so a bad plan is an INVALID_ARGUMENT status even
+// when --faults would override it.
+Status CheckFaultsEnv() {
+  const char* env = std::getenv("MAZE_FAULTS");
+  if (env == nullptr || *env == '\0') return Status::OK();
+  Status s = rt::fault::ParseFaultSpec(env).status();
+  if (s.ok()) return s;
+  return Status::InvalidArgument("MAZE_FAULTS: " + s.message());
+}
+
 // --threads N resizes the process-wide scheduler before engine work starts.
 // Absent flag = keep the MAZE_THREADS/hardware sizing.
 Status ApplyThreadsFlag(const ParsedArgs& parsed, std::ostream& out) {
@@ -353,37 +365,47 @@ Status RunOnce(const std::string& algo, bench::EngineKind engine,
   return Status::OK();
 }
 
+// Name-sorted registry snapshots as [{"name": ..., ...}] arrays, the tail of
+// both --metrics dumps. Counters and gauges carry one "value".
+template <typename Snapshot>
+void WriteValues(const char* key, const std::vector<Snapshot>& snapshots,
+                 obs::JsonWriter* w) {
+  w->BeginArray(key);
+  for (const Snapshot& s : snapshots) {
+    w->BeginObject().Field("name", s.name).Field("value", s.value).EndObject();
+  }
+  w->EndArray();
+}
+
+void WriteHistograms(obs::JsonWriter* w) {
+  w->BeginArray("histograms");
+  for (const obs::HistogramSnapshot& h : obs::SnapshotHistograms()) {
+    w->BeginObject().Field("name", h.name);
+    obs::WriteHistogramFields(h, w);
+    w->EndObject();
+  }
+  w->EndArray();
+}
+
 // The --metrics dump: the resource report, the critical-path attribution
 // summary, and name-sorted counter and histogram snapshots, one JSON object.
 Status WriteMetricsJson(const obs::ResourceReport& report,
                         const obs::attrib::AttributionReport& attribution,
                         const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path);
-  out << "{\n\"resource\": " << report.ToJson() << ",\n\"attribution\": "
-      << attribution.ToJson() << ",\n\"counters\": [\n";
-  auto counters = obs::SnapshotCounters();
-  for (size_t i = 0; i < counters.size(); ++i) {
-    out << "  {\"name\": \"" << obs::JsonEscape(counters[i].name)
-        << "\", \"value\": " << counters[i].value << "}"
-        << (i + 1 < counters.size() ? "," : "") << "\n";
-  }
-  out << "],\n\"histograms\": [\n";
-  auto hists = obs::SnapshotHistograms();
-  for (size_t i = 0; i < hists.size(); ++i) {
-    const auto& h = hists[i];
-    out << "  {\"name\": \"" << obs::JsonEscape(h.name)
-        << "\", \"count\": " << h.count << ", \"sum\": " << h.sum
-        << ", \"max\": " << h.max << ", \"p50\": " << h.p50
-        << ", \"p95\": " << h.p95 << ", \"p99\": " << h.p99 << "}"
-        << (i + 1 < hists.size() ? "," : "") << "\n";
-  }
-  out << "]\n}\n";
-  if (!out.good()) return Status::IoError("write failed for " + path);
-  return Status::OK();
+  obs::JsonWriter w;
+  w.BeginObject()
+      .Key("resource")
+      .Raw(report.ToJson())
+      .Key("attribution")
+      .Raw(attribution.ToJson());
+  WriteValues("counters", obs::SnapshotCounters(), &w);
+  WriteHistograms(&w);
+  w.EndObject();
+  return obs::WriteJsonFile(path, w.str());
 }
 
 Status CmdRun(const ParsedArgs& parsed, std::ostream& out) {
+  MAZE_RETURN_IF_ERROR(CheckFaultsEnv());
   MAZE_RETURN_IF_ERROR(ApplyThreadsFlag(parsed, out));
   std::string algo = FlagOr(parsed, "algo", "pagerank");
   std::string engine_name = FlagOr(parsed, "engine", "native");
@@ -473,10 +495,8 @@ Status CmdRun(const ParsedArgs& parsed, std::ostream& out) {
     out << report.ToMarkdown();
   }
   if (!explain_path.empty()) {
-    std::ofstream f(explain_path);
-    if (!f) return Status::IoError("cannot open " + explain_path);
-    f << attribution.ToJson() << "\n";
-    if (!f.good()) return Status::IoError("write failed for " + explain_path);
+    MAZE_RETURN_IF_ERROR(
+        obs::WriteJsonFile(explain_path, attribution.ToJson()));
     out << "explain: wrote " << explain_path << "\n";
     out << attribution.ToMarkdown();
   }
@@ -490,80 +510,48 @@ Status CmdRun(const ParsedArgs& parsed, std::ostream& out) {
 Status WriteServeMetricsJson(const serve::ServiceReport& report,
                              const obs::TelemetryRegistry& telemetry,
                              const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open " + path);
-  out << "{\n\"report\": " << report.ToJson() << ",\n\"counters\": [\n";
-  auto counters = obs::SnapshotCounters();
-  for (size_t i = 0; i < counters.size(); ++i) {
-    out << "  {\"name\": \"" << obs::JsonEscape(counters[i].name)
-        << "\", \"value\": " << counters[i].value << "}"
-        << (i + 1 < counters.size() ? "," : "") << "\n";
-  }
-  out << "],\n\"gauges\": [\n";
-  auto gauges = obs::SnapshotGauges();
-  for (size_t i = 0; i < gauges.size(); ++i) {
-    out << "  {\"name\": \"" << obs::JsonEscape(gauges[i].name)
-        << "\", \"value\": " << gauges[i].value << "}"
-        << (i + 1 < gauges.size() ? "," : "") << "\n";
-  }
-  out << "],\n\"histograms\": [\n";
-  auto hists = obs::SnapshotHistograms();
-  for (size_t i = 0; i < hists.size(); ++i) {
-    const auto& h = hists[i];
-    out << "  {\"name\": \"" << obs::JsonEscape(h.name)
-        << "\", \"count\": " << h.count << ", \"sum\": " << h.sum
-        << ", \"max\": " << h.max << ", \"p50\": " << h.p50
-        << ", \"p95\": " << h.p95 << ", \"p99\": " << h.p99 << "}"
-        << (i + 1 < hists.size() ? "," : "") << "\n";
-  }
-  out << "],\n\"telemetry\": {\"scrapes\": " << telemetry.scrapes()
-      << ",\n\"counters\": [\n";
-  auto counter_series = telemetry.Counters();
-  for (size_t i = 0; i < counter_series.size(); ++i) {
-    const auto& s = counter_series[i];
-    out << "  {\"name\": \"" << obs::JsonEscape(s.name) << "\", \"windows\": [";
-    for (size_t w = 0; w < s.windows.size(); ++w) {
-      out << (w == 0 ? "" : ", ") << "{\"scrape\": " << s.windows[w].scrape
-          << ", \"value\": " << s.windows[w].value
-          << ", \"delta\": " << s.windows[w].delta << "}";
+  obs::JsonWriter w;
+  w.BeginObject().Key("report").Raw(report.ToJson());
+  WriteValues("counters", obs::SnapshotCounters(), &w);
+  WriteValues("gauges", obs::SnapshotGauges(), &w);
+  WriteHistograms(&w);
+  w.BeginObject("telemetry").Field("scrapes", telemetry.scrapes());
+  // One {"name", "windows": [...]} entry per series; `window` writes the
+  // fields of one scrape window.
+  auto series = [&w](const char* key, const auto& all, auto window) {
+    w.BeginArray(key);
+    for (const auto& s : all) {
+      w.BeginObject().Field("name", s.name).BeginArray("windows");
+      for (const auto& win : s.windows) {
+        w.BeginObject().Field("scrape", win.scrape);
+        window(win);
+        w.EndObject();
+      }
+      w.EndArray().EndObject();
     }
-    out << "]}" << (i + 1 < counter_series.size() ? "," : "") << "\n";
-  }
-  out << "],\n\"gauges\": [\n";
-  auto gauge_series = telemetry.Gauges();
-  for (size_t i = 0; i < gauge_series.size(); ++i) {
-    const auto& s = gauge_series[i];
-    out << "  {\"name\": \"" << obs::JsonEscape(s.name) << "\", \"windows\": [";
-    for (size_t w = 0; w < s.windows.size(); ++w) {
-      out << (w == 0 ? "" : ", ") << "{\"scrape\": " << s.windows[w].scrape
-          << ", \"value\": " << s.windows[w].value
-          << ", \"delta\": " << s.windows[w].delta << "}";
-    }
-    out << "]}" << (i + 1 < gauge_series.size() ? "," : "") << "\n";
-  }
-  out << "],\n\"histograms\": [\n";
-  auto hist_series = telemetry.Histograms();
-  for (size_t i = 0; i < hist_series.size(); ++i) {
-    const auto& s = hist_series[i];
-    out << "  {\"name\": \"" << obs::JsonEscape(s.name) << "\", \"windows\": [";
-    for (size_t w = 0; w < s.windows.size(); ++w) {
-      const auto& win = s.windows[w];
-      out << (w == 0 ? "" : ", ") << "{\"scrape\": " << win.scrape
-          << ", \"count\": " << win.count << ", \"sum\": " << win.sum
-          << ", \"delta_count\": " << win.delta_count
-          << ", \"delta_sum\": " << win.delta_sum
-          << ", \"delta_p50\": " << win.delta_p50
-          << ", \"delta_p99\": " << win.delta_p99
-          << ", \"delta_max\": " << win.delta_max << "}";
-    }
-    out << "]}" << (i + 1 < hist_series.size() ? "," : "") << "\n";
-  }
-  out << "]\n}\n}\n";
-  if (!out.good()) return Status::IoError("write failed for " + path);
-  return Status::OK();
+    w.EndArray();
+  };
+  auto value_delta = [&w](const auto& win) {
+    w.Field("value", win.value).Field("delta", win.delta);
+  };
+  series("counters", telemetry.Counters(), value_delta);
+  series("gauges", telemetry.Gauges(), value_delta);
+  series("histograms", telemetry.Histograms(),
+         [&w](const obs::HistogramWindow& win) {
+           w.Field("count", win.count)
+               .Field("sum", win.sum)
+               .Field("delta_count", win.delta_count)
+               .Field("delta_sum", win.delta_sum)
+               .Field("delta_p50", win.delta_p50)
+               .Field("delta_p99", win.delta_p99)
+               .Field("delta_max", win.delta_max);
+         });
+  w.EndObject().EndObject();
+  return obs::WriteJsonFile(path, w.str());
 }
 
 Status CmdServe(const ParsedArgs& parsed, std::ostream& out) {
+  MAZE_RETURN_IF_ERROR(CheckFaultsEnv());
   MAZE_RETURN_IF_ERROR(ApplyThreadsFlag(parsed, out));
   std::string script_path = FlagOr(parsed, "script", "");
   if (script_path.empty()) {
@@ -641,8 +629,9 @@ Status CmdServe(const ParsedArgs& parsed, std::ostream& out) {
   if (spec.listen_port >= 0) {
     endpoint = std::make_unique<obs::MetricsEndpoint>(&telemetry);
     endpoint->SetHealthz([&service] {
-      return "{\"status\": \"ok\", \"degradation\": " +
-             std::to_string(service.degradation()) + "}";
+      obs::JsonWriter w;
+      w.BeginObject().Field("status", "ok");
+      return w.Field("degradation", service.degradation()).EndObject().str();
     });
     endpoint->SetReport([&service] { return service.Report().ToJson(); });
     MAZE_RETURN_IF_ERROR(endpoint->Start(spec.listen_port));
@@ -675,10 +664,7 @@ Status CmdServe(const ParsedArgs& parsed, std::ostream& out) {
 
   std::string report_path = FlagOr(parsed, "report", "");
   if (!report_path.empty()) {
-    std::ofstream f(report_path);
-    if (!f) return Status::IoError("cannot open " + report_path);
-    f << report.ToJson() << "\n";
-    if (!f.good()) return Status::IoError("write failed for " + report_path);
+    MAZE_RETURN_IF_ERROR(obs::WriteJsonFile(report_path, report.ToJson()));
     out << "report: wrote " << report_path << "\n";
   }
   std::string metrics_path = FlagOr(parsed, "metrics", "");

@@ -5,18 +5,11 @@
 #include <map>
 #include <sstream>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace maze::obs::attrib {
 namespace {
-
-// Deterministic shortest-round-trip-ish formatting: attribution output must be
-// byte-identical for equal inputs (the differential tests compare strings).
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
 
 std::string Fixed(double v, int digits) {
   char buf[64];
@@ -217,62 +210,62 @@ Attribution Attribute(const rt::RunMetrics& metrics) {
 }
 
 std::string Attribution::ToJson() const {
-  std::ostringstream out;
-  out << "{\"available\":" << (available ? "true" : "false");
-  if (!available) {
-    out << "}";
-    return out.str();
+  JsonWriter w;
+  w.BeginObject().Field("available", available);
+  if (!available) return w.EndObject().str();
+  w.Field("num_ranks", num_ranks)
+      .Field("elapsed_seconds", elapsed_seconds)
+      .BeginObject("components")
+      .Field("critical_compute_seconds", critical_compute_seconds)
+      .Field("critical_wire_seconds", critical_wire_seconds)
+      .Field("imbalance_idle_seconds", imbalance_idle_seconds)
+      .Field("fault_recovery_seconds", fault_recovery_seconds)
+      .EndObject()
+      .Field("component_sum_seconds", ComponentSum())
+      .Field("verdict", Verdict())
+      .Field("max_imbalance_factor", max_imbalance_factor)
+      .Field("mean_imbalance_factor", mean_imbalance_factor)
+      .BeginObject("what_if")
+      .Field("infinite_bandwidth_seconds", bounds.infinite_bandwidth_seconds)
+      .Field("perfect_balance_seconds", bounds.perfect_balance_seconds)
+      .Field("zero_fault_seconds", bounds.zero_fault_seconds)
+      .Field("best_case_seconds", bounds.best_case_seconds)
+      .EndObject();
+  w.BeginArray("rank_slack_seconds");
+  for (double slack : rank_slack_seconds) w.Value(slack);
+  w.EndArray().BeginArray("steps");
+  for (const StepAttribution& a : steps) {
+    w.BeginObject()
+        .Field("step", a.step)
+        .Field("seconds", a.step_seconds)
+        .Field("binding_term", BindingTermName(a.binding_term))
+        .Field("binding_rank", a.binding_rank)
+        .Field("compute", a.compute_seconds)
+        .Field("wire", a.wire_seconds)
+        .Field("imbalance", a.imbalance_seconds)
+        .Field("fault", a.fault_seconds)
+        .Field("imbalance_factor", a.imbalance_factor)
+        .EndObject();
   }
-  out << ",\"num_ranks\":" << num_ranks
-      << ",\"elapsed_seconds\":" << Num(elapsed_seconds)
-      << ",\"components\":{\"critical_compute_seconds\":"
-      << Num(critical_compute_seconds)
-      << ",\"critical_wire_seconds\":" << Num(critical_wire_seconds)
-      << ",\"imbalance_idle_seconds\":" << Num(imbalance_idle_seconds)
-      << ",\"fault_recovery_seconds\":" << Num(fault_recovery_seconds) << "}"
-      << ",\"component_sum_seconds\":" << Num(ComponentSum())
-      << ",\"verdict\":\"" << Verdict() << "\""
-      << ",\"max_imbalance_factor\":" << Num(max_imbalance_factor)
-      << ",\"mean_imbalance_factor\":" << Num(mean_imbalance_factor)
-      << ",\"what_if\":{\"infinite_bandwidth_seconds\":"
-      << Num(bounds.infinite_bandwidth_seconds)
-      << ",\"perfect_balance_seconds\":" << Num(bounds.perfect_balance_seconds)
-      << ",\"zero_fault_seconds\":" << Num(bounds.zero_fault_seconds)
-      << ",\"best_case_seconds\":" << Num(bounds.best_case_seconds) << "}";
-  out << ",\"rank_slack_seconds\":[";
-  for (size_t r = 0; r < rank_slack_seconds.size(); ++r) {
-    if (r > 0) out << ",";
-    out << Num(rank_slack_seconds[r]);
-  }
-  out << "],\"steps\":[";
-  for (size_t i = 0; i < steps.size(); ++i) {
-    const StepAttribution& a = steps[i];
-    if (i > 0) out << ",";
-    out << "{\"step\":" << a.step << ",\"seconds\":" << Num(a.step_seconds)
-        << ",\"binding_term\":\"" << BindingTermName(a.binding_term) << "\""
-        << ",\"binding_rank\":" << a.binding_rank
-        << ",\"compute\":" << Num(a.compute_seconds)
-        << ",\"wire\":" << Num(a.wire_seconds)
-        << ",\"imbalance\":" << Num(a.imbalance_seconds)
-        << ",\"fault\":" << Num(a.fault_seconds)
-        << ",\"imbalance_factor\":" << Num(a.imbalance_factor) << "}";
-  }
-  out << "]}";
-  return out.str();
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 std::string AttributionReport::ToJson() const {
-  std::ostringstream out;
-  out << "{\"rows\":[";
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    const AttributionRow& r = rows_[i];
-    if (i > 0) out << ",";
-    out << "{\"engine\":\"" << r.engine << "\",\"algorithm\":\"" << r.algorithm
-        << "\",\"dataset\":\"" << r.dataset << "\",\"ranks\":" << r.ranks
-        << ",\"attribution\":" << r.attribution.ToJson() << "}";
+  JsonWriter w;
+  w.BeginObject().BeginArray("rows");
+  for (const AttributionRow& r : rows_) {
+    w.BeginObject()
+        .Field("engine", r.engine)
+        .Field("algorithm", r.algorithm)
+        .Field("dataset", r.dataset)
+        .Field("ranks", r.ranks)
+        .Key("attribution")
+        .Raw(r.attribution.ToJson())
+        .EndObject();
   }
-  out << "]}";
-  return out.str();
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 std::string AttributionReport::ToMarkdown() const {

@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 
+#include "obs/json.h"
+
 namespace maze::obs {
 namespace {
 
@@ -197,6 +199,15 @@ void ResetCountersAndHistograms() {
   for (auto& [name, counter] : reg.counters) counter->Reset();
   for (auto& [name, gauge] : reg.gauges) gauge->Reset();
   for (auto& [name, h] : reg.histograms) h->Reset();
+}
+
+void WriteHistogramFields(const HistogramSnapshot& h, JsonWriter* w) {
+  w->Field("count", h.count)
+      .Field("sum", h.sum)
+      .Field("max", h.max)
+      .Field("p50", h.p50)
+      .Field("p95", h.p95)
+      .Field("p99", h.p99);
 }
 
 }  // namespace maze::obs

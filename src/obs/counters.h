@@ -134,6 +134,10 @@ struct HistogramSnapshot {
   uint64_t p99 = 0;
 };
 
+class JsonWriter;
+// Appends count, sum, max, p50, p95 and p99 to the object open in `*w`.
+void WriteHistogramFields(const HistogramSnapshot& h, JsonWriter* w);
+
 // Name-sorted snapshots of every registered counter/gauge/histogram.
 std::vector<CounterSnapshot> SnapshotCounters();
 std::vector<GaugeSnapshot> SnapshotGauges();

@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
@@ -11,26 +10,11 @@
 #include "util/table.h"
 
 namespace maze::obs {
-namespace {
-
-std::string Micros(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", us);
-  return buf;
-}
-
-}  // namespace
 
 std::string ChromeTraceJson() {
   std::vector<Event> events = SnapshotEvents();
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  bool first = true;
-  auto begin_event = [&]() -> std::ostringstream& {
-    if (!first) out << ",\n";
-    first = false;
-    return out;
-  };
+  JsonWriter w;
+  w.BeginObject().BeginArray("traceEvents");
 
   // Name the process tracks: measured ranks, their simulated-wire shadows, and
   // the critical-path track when attribution annotations are present.
@@ -53,116 +37,133 @@ std::string ChromeTraceJson() {
         break;
     }
   }
+  auto process_name = [&w](int pid, const std::string& name) {
+    w.BeginObject()
+        .Field("ph", "M")
+        .Field("pid", pid)
+        .Field("name", "process_name")
+        .BeginObject("args")
+        .Field("name", name)
+        .EndObject()
+        .EndObject();
+  };
   for (int r : measured_ranks) {
-    begin_event() << "{\"ph\":\"M\",\"pid\":" << r
-                  << ",\"name\":\"process_name\",\"args\":{\"name\":\"rank " << r
-                  << " (measured)\"}}";
+    process_name(r, "rank " + std::to_string(r) + " (measured)");
   }
   for (int r : wire_ranks) {
-    begin_event() << "{\"ph\":\"M\",\"pid\":" << kSimWirePidBase + r
-                  << ",\"name\":\"process_name\",\"args\":{\"name\":\"rank " << r
-                  << " (simulated wire)\"}}";
+    process_name(kSimWirePidBase + r,
+                 "rank " + std::to_string(r) + " (simulated wire)");
   }
-  if (critical_path) {
-    begin_event() << "{\"ph\":\"M\",\"pid\":" << kCritPathPid
-                  << ",\"name\":\"process_name\",\"args\":{\"name\":"
-                     "\"critical path (modeled)\"}}";
-  }
+  if (critical_path) process_name(kCritPathPid, "critical path (modeled)");
 
+  // Every event but a flow end opens with ph/pid (and tid where it has one).
+  auto begin = [&w](const char* ph, int pid) -> JsonWriter& {
+    return w.BeginObject().Field("ph", ph).Field("pid", pid);
+  };
   for (const Event& e : events) {
     if (e.kind == EventKind::kSpan) {
       // Measured spans reuse Event::bytes for the serving-layer request id
       // (PushSpanWithId); non-zero ids become a slice arg so an exemplar's
       // request_id finds its trace slice by search.
-      begin_event() << "{\"ph\":\"X\",\"pid\":" << e.rank << ",\"tid\":" << e.tid
-                    << ",\"ts\":" << Micros(e.ts_us)
-                    << ",\"dur\":" << Micros(e.dur_us) << ",\"name\":\""
-                    << JsonEscape(e.name) << "\",\"cat\":\"" << JsonEscape(e.cat)
-                    << "\",\"args\":{\"rank\":" << e.rank
-                    << ",\"step\":" << e.step;
-      if (e.bytes != 0) out << ",\"request_id\":" << e.bytes;
-      out << "}}";
+      begin("X", e.rank)
+          .Field("tid", e.tid)
+          .Field("ts", e.ts_us)
+          .Field("dur", e.dur_us)
+          .Field("name", e.name)
+          .Field("cat", e.cat)
+          .BeginObject("args")
+          .Field("rank", e.rank)
+          .Field("step", e.step);
+      if (e.bytes != 0) w.Field("request_id", e.bytes);
+      w.EndObject().EndObject();
     } else if (e.kind == EventKind::kCounter) {
       // Counter tracks ("C") live in the simulated clock domain alongside the
       // wire spans: one series per (rank pid, track name).
-      begin_event() << "{\"ph\":\"C\",\"pid\":" << kSimWirePidBase + e.rank
-                    << ",\"name\":\"" << JsonEscape(e.name) << "\",\"cat\":\""
-                    << JsonEscape(e.cat) << "\",\"ts\":" << Micros(e.ts_us)
-                    << ",\"args\":{\"" << JsonEscape(e.name)
-                    << "\":" << e.value << "}}";
+      begin("C", kSimWirePidBase + e.rank)
+          .Field("name", e.name)
+          .Field("cat", e.cat)
+          .Field("ts", e.ts_us)
+          .BeginObject("args")
+          .Field(e.name, e.value)
+          .EndObject()
+          .EndObject();
     } else if (e.kind == EventKind::kCritSpan) {
       // One slice per step barrier on the critical-path track, named by its
       // binding term; args pin the binding rank and load-imbalance factor.
-      begin_event() << "{\"ph\":\"X\",\"pid\":" << kCritPathPid
-                    << ",\"tid\":0,\"ts\":" << Micros(e.ts_us)
-                    << ",\"dur\":" << Micros(e.dur_us) << ",\"name\":\""
-                    << JsonEscape(e.name) << "\",\"cat\":\"" << JsonEscape(e.cat)
-                    << "\",\"args\":{\"binding_rank\":" << e.rank
-                    << ",\"step\":" << e.step << ",\"imbalance_factor\":"
-                    << e.value << "}}";
+      begin("X", kCritPathPid)
+          .Field("tid", 0)
+          .Field("ts", e.ts_us)
+          .Field("dur", e.dur_us)
+          .Field("name", e.name)
+          .Field("cat", e.cat)
+          .BeginObject("args")
+          .Field("binding_rank", e.rank)
+          .Field("step", e.step)
+          .Field("imbalance_factor", e.value)
+          .EndObject()
+          .EndObject();
     } else if (e.kind == EventKind::kFlowStart ||
                e.kind == EventKind::kFlowEnd) {
       // Flow arrows linking binding slices across steps ("s" starts inside the
       // upstream slice, "f" with bp=e binds to the enclosing downstream one).
       const bool start = e.kind == EventKind::kFlowStart;
-      begin_event() << "{\"ph\":\"" << (start ? "s" : "f")
-                    << (start ? "" : "\",\"bp\":\"e")
-                    << "\",\"pid\":" << kCritPathPid
-                    << ",\"tid\":0,\"id\":" << e.bytes
-                    << ",\"ts\":" << Micros(e.ts_us) << ",\"name\":\""
-                    << JsonEscape(e.name) << "\",\"cat\":\"" << JsonEscape(e.cat)
-                    << "\",\"args\":{\"binding_rank\":" << e.rank
-                    << ",\"step\":" << e.step << "}}";
+      w.BeginObject().Field("ph", start ? "s" : "f");
+      if (!start) w.Field("bp", "e");
+      w.Field("pid", kCritPathPid)
+          .Field("tid", 0)
+          .Field("id", e.bytes)
+          .Field("ts", e.ts_us)
+          .Field("name", e.name)
+          .Field("cat", e.cat)
+          .BeginObject("args")
+          .Field("binding_rank", e.rank)
+          .Field("step", e.step)
+          .EndObject()
+          .EndObject();
     } else {
       // Simulated wire time: one async begin/end pair per SimClock step & rank.
-      int pid = kSimWirePidBase + e.rank;
-      begin_event() << "{\"ph\":\"b\",\"pid\":" << pid
-                    << ",\"tid\":0,\"id\":" << e.tid
-                    << ",\"ts\":" << Micros(e.ts_us) << ",\"name\":\""
-                    << JsonEscape(e.name) << "\",\"cat\":\"" << JsonEscape(e.cat)
-                    << "\",\"args\":{\"rank\":" << e.rank << ",\"step\":"
-                    << e.step << ",\"bytes\":" << e.bytes
-                    << ",\"messages\":" << e.msgs << "}}";
-      begin_event() << "{\"ph\":\"e\",\"pid\":" << pid
-                    << ",\"tid\":0,\"id\":" << e.tid
-                    << ",\"ts\":" << Micros(e.ts_us + e.dur_us) << ",\"name\":\""
-                    << JsonEscape(e.name) << "\",\"cat\":\"" << JsonEscape(e.cat)
-                    << "\"}";
+      const int pid = kSimWirePidBase + e.rank;
+      begin("b", pid)
+          .Field("tid", 0)
+          .Field("id", e.tid)
+          .Field("ts", e.ts_us)
+          .Field("name", e.name)
+          .Field("cat", e.cat)
+          .BeginObject("args")
+          .Field("rank", e.rank)
+          .Field("step", e.step)
+          .Field("bytes", e.bytes)
+          .Field("messages", e.msgs)
+          .EndObject()
+          .EndObject();
+      begin("e", pid)
+          .Field("tid", 0)
+          .Field("id", e.tid)
+          .Field("ts", e.ts_us + e.dur_us)
+          .Field("name", e.name)
+          .Field("cat", e.cat)
+          .EndObject();
     }
   }
 
-  out << "],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":{";
-  out << "\"droppedEvents\":" << DroppedEvents();
-  out << ",\"counters\":{";
-  bool first_counter = true;
-  for (const CounterSnapshot& c : SnapshotCounters()) {
-    if (!first_counter) out << ",";
-    first_counter = false;
-    out << "\"" << JsonEscape(c.name) << "\":" << c.value;
-  }
-  out << "},\"histograms\":{";
-  bool first_hist = true;
+  w.EndArray()
+      .Field("displayTimeUnit", "ms")
+      .BeginObject("otherData")
+      .Field("droppedEvents", DroppedEvents())
+      .BeginObject("counters");
+  for (const CounterSnapshot& c : SnapshotCounters()) w.Field(c.name, c.value);
+  w.EndObject().BeginObject("histograms");
   for (const HistogramSnapshot& h : SnapshotHistograms()) {
-    if (!first_hist) out << ",";
-    first_hist = false;
-    out << "\"" << JsonEscape(h.name) << "\":{\"count\":" << h.count
-        << ",\"sum\":" << h.sum << ",\"max\":" << h.max << ",\"p50\":" << h.p50
-        << ",\"p95\":" << h.p95 << ",\"p99\":" << h.p99 << "}";
+    w.BeginObject(h.name);
+    WriteHistogramFields(h, &w);
+    w.EndObject();
   }
-  out << "}}}\n";
-  return out.str();
+  w.EndObject().EndObject().EndObject();
+  return w.str();
 }
 
 Status WriteChromeTrace(const std::string& path) {
-  std::string json = ChromeTraceJson();
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != json.size() || close_rc != 0) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::OK();
+  return WriteJsonFile(path, ChromeTraceJson());
 }
 
 std::string SummaryText() {

@@ -9,6 +9,8 @@
 #include <cstring>
 #include <map>
 
+#include "obs/json.h"
+
 namespace maze::obs {
 namespace {
 
@@ -272,7 +274,10 @@ void MetricsEndpoint::HandleConnection(int fd) {
     SendAll(fd, HttpResponse("200 OK", kMetricsContentType,
                              OpenMetricsText(*telemetry_)));
   } else if (path == "/healthz") {
-    std::string body = healthz_ ? healthz_() : "{\"status\": \"ok\"}\n";
+    std::string body =
+        healthz_
+            ? healthz_()
+            : JsonWriter().BeginObject().Field("status", "ok").EndObject().str();
     SendAll(fd, HttpResponse("200 OK", "application/json", body));
   } else if (path == "/report") {
     if (report_) {

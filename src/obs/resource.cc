@@ -122,30 +122,30 @@ std::string Mib(uint64_t bytes) {
 }  // namespace
 
 std::string ResourceReport::ToJson() const {
-  std::ostringstream out;
-  out << "{\n  \"rows\": [\n";
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    const ResourceRow& r = rows_[i];
-    out << "    {\"engine\": \"" << JsonEscape(r.engine)
-        << "\", \"algorithm\": \"" << JsonEscape(r.algorithm)
-        << "\", \"dataset\": \"" << JsonEscape(r.dataset)
-        << "\", \"ranks\": " << r.ranks
-        << ", \"elapsed_seconds\": " << Fixed(r.elapsed_seconds, 6)
-        << ", \"cpu_utilization\": " << Fixed(r.cpu_utilization, 4)
-        << ", \"peak_bw_utilization\": " << Fixed(r.peak_bw_utilization, 4)
-        << ", \"avg_bw_utilization\": " << Fixed(r.avg_bw_utilization, 4)
-        << ", \"footprint_bytes\": " << r.footprint_bytes
-        << ", \"graph_bytes\": " << r.graph_bytes
-        << ", \"state_bytes\": " << r.state_bytes
-        << ", \"msg_buffer_bytes\": " << r.msg_buffer_bytes
-        << ", \"wire_bytes\": " << r.wire_bytes
-        << ", \"wire_messages\": " << r.wire_messages
-        << ", \"step_p50_us\": " << Fixed(r.step_p50_us, 3)
-        << ", \"step_p99_us\": " << Fixed(r.step_p99_us, 3) << "}"
-        << (i + 1 < rows_.size() ? "," : "") << "\n";
+  JsonWriter w;
+  w.BeginObject().BeginArray("rows");
+  for (const ResourceRow& r : rows_) {
+    w.BeginObject()
+        .Field("engine", r.engine)
+        .Field("algorithm", r.algorithm)
+        .Field("dataset", r.dataset)
+        .Field("ranks", r.ranks)
+        .Field("elapsed_seconds", r.elapsed_seconds)
+        .Field("cpu_utilization", r.cpu_utilization)
+        .Field("peak_bw_utilization", r.peak_bw_utilization)
+        .Field("avg_bw_utilization", r.avg_bw_utilization)
+        .Field("footprint_bytes", r.footprint_bytes)
+        .Field("graph_bytes", r.graph_bytes)
+        .Field("state_bytes", r.state_bytes)
+        .Field("msg_buffer_bytes", r.msg_buffer_bytes)
+        .Field("wire_bytes", r.wire_bytes)
+        .Field("wire_messages", r.wire_messages)
+        .Field("step_p50_us", r.step_p50_us)
+        .Field("step_p99_us", r.step_p99_us)
+        .EndObject();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 std::string ResourceReport::ToMarkdown() const {

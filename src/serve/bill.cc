@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "obs/attrib.h"
@@ -11,18 +10,6 @@
 namespace maze::serve {
 
 namespace {
-
-std::string Fmt(const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  return buf;
-}
-
-// Doubles in artifacts render with %.17g: enough digits to round-trip, so
-// equal doubles are equal bytes (the determinism contract).
-std::string D(double v) { return Fmt("%.17g", v); }
-
-std::string U(uint64_t v) { return std::to_string(v); }
 
 // Replaces measured per-rank compute with a pure function of schedule-
 // invariant inputs — the attrib_differential_test canonicalization, extended
@@ -146,18 +133,19 @@ void BillTotals::AddBill(const QueryBill& bill) {
 }
 
 std::string BillTotals::ToJson() const {
-  std::string out = "{";
-  out += "\"entries\": " + U(entries);
-  out += ", \"modeled_seconds\": " + D(modeled_seconds);
-  out += ", \"compute_seconds\": " + D(compute_seconds);
-  out += ", \"wire_seconds\": " + D(wire_seconds);
-  out += ", \"imbalance_seconds\": " + D(imbalance_seconds);
-  out += ", \"fault_seconds\": " + D(fault_seconds);
-  out += ", \"cpu_seconds\": " + D(cpu_seconds);
-  out += ", \"wire_bytes\": " + U(wire_bytes);
-  out += ", \"messages\": " + U(messages);
-  out += "}";
-  return out;
+  obs::JsonWriter w;
+  w.BeginObject()
+      .Field("entries", entries)
+      .Field("modeled_seconds", modeled_seconds)
+      .Field("compute_seconds", compute_seconds)
+      .Field("wire_seconds", wire_seconds)
+      .Field("imbalance_seconds", imbalance_seconds)
+      .Field("fault_seconds", fault_seconds)
+      .Field("cpu_seconds", cpu_seconds)
+      .Field("wire_bytes", wire_bytes)
+      .Field("messages", messages)
+      .EndObject();
+  return w.str();
 }
 
 namespace {
@@ -194,47 +182,47 @@ std::vector<QueryBill> TopCostRanked(std::vector<QueryBill> bills, size_t k) {
 }
 
 std::string BillJson(const QueryBill& bill, bool canonical_only) {
-  std::string out = "{";
-  out += "\"request_id\": " + U(bill.request_id);
-  out += ", \"key\": \"" + obs::JsonEscape(bill.key) + "\"";
-  out += ", \"path\": \"" + std::string(BillPathName(bill.path)) + "\"";
-  out += ", \"share_count\": " + std::to_string(bill.share_count);
+  obs::JsonWriter w;
+  w.BeginObject()
+      .Field("request_id", bill.request_id)
+      .Field("key", bill.key)
+      .Field("path", BillPathName(bill.path))
+      .Field("share_count", bill.share_count);
   if (!canonical_only) {
-    out += ", \"modeled_seconds\": " + D(bill.modeled_seconds);
-    out += ", \"compute_seconds\": " + D(bill.compute_seconds);
-    out += ", \"wire_seconds\": " + D(bill.wire_seconds);
-    out += ", \"imbalance_seconds\": " + D(bill.imbalance_seconds);
-    out += ", \"fault_seconds\": " + D(bill.fault_seconds);
-    out += ", \"cpu_seconds\": " + D(bill.cpu_seconds);
-    out += ", \"wall_seconds\": " + D(bill.wall_seconds);
+    w.Field("modeled_seconds", bill.modeled_seconds)
+        .Field("compute_seconds", bill.compute_seconds)
+        .Field("wire_seconds", bill.wire_seconds)
+        .Field("imbalance_seconds", bill.imbalance_seconds)
+        .Field("fault_seconds", bill.fault_seconds)
+        .Field("cpu_seconds", bill.cpu_seconds)
+        .Field("wall_seconds", bill.wall_seconds);
   }
-  out += ", \"canon_modeled_seconds\": " + D(bill.canon_modeled_seconds);
-  out += ", \"wire_bytes\": " + U(bill.wire_bytes);
-  out += ", \"messages\": " + U(bill.messages);
+  w.Field("canon_modeled_seconds", bill.canon_modeled_seconds)
+      .Field("wire_bytes", bill.wire_bytes)
+      .Field("messages", bill.messages);
   if (bill.flight != nullptr) {
     const FlightCost& c = *bill.flight;
-    out += ", \"flight\": {";
-    out += "\"ranks\": " + std::to_string(c.ranks);
+    w.BeginObject("flight").Field("ranks", c.ranks);
     if (!canonical_only) {
-      out += ", \"modeled_seconds\": " + D(c.modeled_seconds);
-      out += ", \"cpu_seconds\": " + D(c.cpu_seconds);
+      w.Field("modeled_seconds", c.modeled_seconds)
+          .Field("cpu_seconds", c.cpu_seconds);
     }
-    out += ", \"canon_modeled_seconds\": " + D(c.canon_modeled_seconds);
-    out += ", \"canon_compute_seconds\": " + D(c.canon_compute_seconds);
-    out += ", \"canon_wire_seconds\": " + D(c.canon_wire_seconds);
-    out += ", \"canon_imbalance_seconds\": " + D(c.canon_imbalance_seconds);
-    out += ", \"canon_fault_seconds\": " + D(c.canon_fault_seconds);
-    out += ", \"wire_bytes\": " + U(c.wire_bytes);
-    out += ", \"messages\": " + U(c.messages);
-    out += ", \"state_bytes\": " + U(c.state_bytes);
-    out += ", \"msgbuf_bytes\": " + U(c.msgbuf_bytes);
-    out += ", \"peak_bytes\": " + U(c.peak_bytes);
-    out += ", \"faults_injected\": " + U(c.faults_injected);
-    out += ", \"transport_retries\": " + U(c.transport_retries);
-    out += "}";
+    w.Field("canon_modeled_seconds", c.canon_modeled_seconds)
+        .Field("canon_compute_seconds", c.canon_compute_seconds)
+        .Field("canon_wire_seconds", c.canon_wire_seconds)
+        .Field("canon_imbalance_seconds", c.canon_imbalance_seconds)
+        .Field("canon_fault_seconds", c.canon_fault_seconds)
+        .Field("wire_bytes", c.wire_bytes)
+        .Field("messages", c.messages)
+        .Field("state_bytes", c.state_bytes)
+        .Field("msgbuf_bytes", c.msgbuf_bytes)
+        .Field("peak_bytes", c.peak_bytes)
+        .Field("faults_injected", c.faults_injected)
+        .Field("transport_retries", c.transport_retries)
+        .EndObject();
   }
-  out += "}";
-  return out;
+  w.EndObject();
+  return w.str();
 }
 
 FlightRecorder::FlightRecorder(size_t capacity)
@@ -280,56 +268,61 @@ std::vector<QueryBill> FlightRecorder::TopK(size_t k) const {
 std::string ForensicDumpJson(const SloTripInfo& trip,
                              const std::vector<QueryBill>& window,
                              const std::vector<QueryBill>& ring, size_t top_k) {
-  auto bill_array = [](const std::vector<QueryBill>& bills) {
-    std::string out = "[";
-    for (size_t i = 0; i < bills.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += BillJson(bills[i], /*canonical_only=*/true);
-    }
-    out += "]";
-    return out;
+  obs::JsonWriter w;
+  auto bill_array = [&w](const char* key, const std::vector<QueryBill>& bills) {
+    w.BeginArray(key);
+    for (const QueryBill& b : bills) w.Raw(BillJson(b, /*canonical_only=*/true));
+    w.EndArray();
   };
-  std::string out = "{\n";
-  out += "  \"event\": \"slo_trip\",\n";
-  out += "  \"scrape\": " + U(trip.scrape) + ",\n";
-  out += "  \"level\": " + std::to_string(trip.level) + ",\n";
-  out += "  \"prev_level\": " + std::to_string(trip.prev_level) + ",\n";
-  out += "  \"window\": " + bill_array(window) + ",\n";
-  out += "  \"ring\": " + bill_array(ring) + ",\n";
+  w.BeginObject()
+      .Field("event", "slo_trip")
+      .Field("scrape", trip.scrape)
+      .Field("level", trip.level)
+      .Field("prev_level", trip.prev_level);
+  bill_array("window", window);
+  bill_array("ring", ring);
   // The named culprits: the window's bills ranked by deterministic cost. An
   // idle tripping window (e.g. a burst that drained before the scrape) falls
   // back to ranking the ring.
-  out += "  \"top\": " +
-         bill_array(TopCostRanked(window.empty() ? ring : window, top_k)) +
-         "\n";
-  out += "}\n";
-  return out;
+  bill_array("top", TopCostRanked(window.empty() ? ring : window, top_k));
+  w.EndObject();
+  return w.str();
 }
 
 Status WriteFlightsTrace(const std::string& path,
                          const std::vector<QueryBill>& bills) {
-  std::string out = "{\"traceEvents\":[";
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-         std::to_string(kFlightsPid) +
-         ",\"tid\":0,\"args\":{\"name\":\"query flights\"}}";
+  obs::JsonWriter w;
+  w.BeginObject().BeginArray("traceEvents");
+  w.BeginObject()
+      .Field("name", "process_name")
+      .Field("ph", "M")
+      .Field("pid", kFlightsPid)
+      .Field("tid", 0)
+      .BeginObject("args")
+      .Field("name", "query flights")
+      .EndObject()
+      .EndObject();
   for (const QueryBill& b : bills) {
     uint64_t dur = static_cast<uint64_t>(b.wall_seconds * 1e6);
     uint64_t ts = b.wall_end_us > dur ? b.wall_end_us - dur : 0;
-    out += ",{\"name\":\"" + obs::JsonEscape(b.key) + "\",\"cat\":\"flight\"," +
-           "\"ph\":\"X\",\"pid\":" + std::to_string(kFlightsPid) +
-           ",\"tid\":0,\"ts\":" + U(ts) + ",\"dur\":" + U(dur) +
-           ",\"args\":{\"request_id\":" + U(b.request_id) + ",\"path\":\"" +
-           BillPathName(b.path) +
-           "\",\"canon_modeled_us\":" + D(b.canon_modeled_seconds * 1e6) +
-           ",\"wire_bytes\":" + U(b.wire_bytes) + "}}";
+    w.BeginObject()
+        .Field("name", b.key)
+        .Field("cat", "flight")
+        .Field("ph", "X")
+        .Field("pid", kFlightsPid)
+        .Field("tid", 0)
+        .Field("ts", ts)
+        .Field("dur", dur)
+        .BeginObject("args")
+        .Field("request_id", b.request_id)
+        .Field("path", BillPathName(b.path))
+        .Field("canon_modeled_us", b.canon_modeled_seconds * 1e6)
+        .Field("wire_bytes", b.wire_bytes)
+        .EndObject()
+        .EndObject();
   }
-  out += "],\"displayTimeUnit\":\"ms\"}\n";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  if (written != out.size()) return Status::IoError("short write to " + path);
-  return Status::OK();
+  w.EndArray().Field("displayTimeUnit", "ms").EndObject();
+  return obs::WriteJsonFile(path, w.str());
 }
 
 }  // namespace maze::serve

@@ -722,74 +722,72 @@ ServiceReport Service::Report() const {
 }
 
 std::string ServiceReport::ToJson() const {
-  std::string out = "{\n";
-  out += "\"options\": {\"workers\": " + std::to_string(options.workers) +
-         ", \"queue_depth\": " + std::to_string(options.queue_depth) +
-         ", \"cache_bytes\": " + std::to_string(options.cache_bytes) + "},\n";
-  out += "\"stats\": {";
-  auto field = [&](const char* name, uint64_t v, bool last = false) {
-    out += std::string("\"") + name + "\": " + std::to_string(v) +
-           (last ? "" : ", ");
-  };
-  field("submitted", stats.submitted);
-  field("admitted", stats.admitted);
-  field("rejected", stats.rejected);
-  field("shed", stats.shed);
-  field("invalid", stats.invalid);
-  field("cache_hits", stats.cache_hits);
-  field("dedup_joined", stats.dedup_joined);
-  field("executed", stats.executed);
-  field("exec_failed", stats.exec_failed);
-  field("completed", stats.completed);
-  field("failed", stats.failed);
-  field("expired", stats.expired);
-  field("queue_depth", stats.queue_depth);
-  field("queue_peak", stats.queue_peak);
-  field("inflight", stats.inflight, /*last=*/true);
-  out += "},\n";
-  out += "\"degradation\": " + std::to_string(degradation) + ",\n";
-  auto hist = [&](const char* name, const obs::HistogramSnapshot& h) {
-    out += std::string("\"") + name + "\": {\"count\": " +
-           std::to_string(h.count) + ", \"sum\": " + std::to_string(h.sum) +
-           ", \"max\": " + std::to_string(h.max) +
-           ", \"p50\": " + std::to_string(h.p50) +
-           ", \"p95\": " + std::to_string(h.p95) +
-           ", \"p99\": " + std::to_string(h.p99) + "},\n";
+  obs::JsonWriter w;
+  w.BeginObject()
+      .BeginObject("options")
+      .Field("workers", options.workers)
+      .Field("queue_depth", options.queue_depth)
+      .Field("cache_bytes", options.cache_bytes)
+      .EndObject();
+  w.BeginObject("stats")
+      .Field("submitted", stats.submitted)
+      .Field("admitted", stats.admitted)
+      .Field("rejected", stats.rejected)
+      .Field("shed", stats.shed)
+      .Field("invalid", stats.invalid)
+      .Field("cache_hits", stats.cache_hits)
+      .Field("dedup_joined", stats.dedup_joined)
+      .Field("executed", stats.executed)
+      .Field("exec_failed", stats.exec_failed)
+      .Field("completed", stats.completed)
+      .Field("failed", stats.failed)
+      .Field("expired", stats.expired)
+      .Field("queue_depth", stats.queue_depth)
+      .Field("queue_peak", stats.queue_peak)
+      .Field("inflight", stats.inflight)
+      .EndObject();
+  w.Field("degradation", degradation);
+  auto hist = [&w](const char* name, const obs::HistogramSnapshot& h) {
+    w.BeginObject(name);
+    obs::WriteHistogramFields(h, &w);
+    w.EndObject();
   };
   hist("latency_us", latency);
   hist("queue_wait_us", queue_wait);
   hist("modeled_us", modeled);
-  out += "\"bills\": {\"flights\": " + bills.flights.ToJson() +
-         ", \"billed\": " + bills.billed.ToJson() + ", \"conserved\": " +
-         (BillsConserve(bills.flights, bills.billed) ? "true" : "false") +
-         "},\n";
-  out += "\"top_bills\": [";
-  for (size_t i = 0; i < top_bills.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += BillJson(top_bills[i], /*canonical_only=*/false);
+  w.BeginObject("bills")
+      .Key("flights")
+      .Raw(bills.flights.ToJson())
+      .Key("billed")
+      .Raw(bills.billed.ToJson())
+      .Field("conserved", BillsConserve(bills.flights, bills.billed))
+      .EndObject();
+  w.BeginArray("top_bills");
+  for (const QueryBill& b : top_bills) {
+    w.Raw(BillJson(b, /*canonical_only=*/false));
   }
-  out += "],\n";
-  out += "\"cache\": {";
-  field("hits", stats.cache.hits);
-  field("misses", stats.cache.misses);
-  field("insertions", stats.cache.insertions);
-  field("evictions", stats.cache.evictions);
-  field("entries", stats.cache.entries);
-  field("bytes", stats.cache.bytes);
-  field("byte_budget", stats.cache.byte_budget, /*last=*/true);
-  out += "},\n";
-  out += "\"snapshots\": [\n";
-  for (size_t i = 0; i < snapshots.size(); ++i) {
-    const SnapshotRow& s = snapshots[i];
-    out += "  {\"name\": \"" + obs::JsonEscape(s.name) +
-           "\", \"epoch\": " + std::to_string(s.epoch) +
-           ", \"vertices\": " + std::to_string(s.vertices) +
-           ", \"edges\": " + std::to_string(s.edges) +
-           ", \"bytes\": " + std::to_string(s.bytes) + "}" +
-           (i + 1 < snapshots.size() ? "," : "") + "\n";
+  w.EndArray();
+  w.BeginObject("cache")
+      .Field("hits", stats.cache.hits)
+      .Field("misses", stats.cache.misses)
+      .Field("insertions", stats.cache.insertions)
+      .Field("evictions", stats.cache.evictions)
+      .Field("entries", stats.cache.entries)
+      .Field("bytes", stats.cache.bytes)
+      .Field("byte_budget", stats.cache.byte_budget)
+      .EndObject();
+  w.BeginArray("snapshots");
+  for (const SnapshotRow& s : snapshots) {
+    w.BeginObject()
+        .Field("name", s.name)
+        .Field("epoch", s.epoch)
+        .Field("vertices", s.vertices)
+        .Field("edges", s.edges)
+        .Field("bytes", s.bytes)
+        .EndObject();
   }
-  out += "]\n}\n";
-  return out;
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 std::string ServiceReport::ToMarkdown() const {

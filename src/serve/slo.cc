@@ -2,19 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "obs/json.h"
 
 namespace maze::serve {
-namespace {
-
-// %.6g of a double derived from exact integers is itself deterministic.
-std::string FormatDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 SloWatchdog::SloWatchdog(const SloOptions& options,
                          obs::TelemetryRegistry* telemetry, Service* service,
@@ -51,6 +42,12 @@ std::vector<std::string> SloWatchdog::EventLines() const {
 void SloWatchdog::Emit(const std::string& line) {
   events_.push_back(line);
   if (log_ != nullptr) *log_ << line << "\n";
+}
+
+void SloWatchdog::EmitDumpError(const std::string& path) {
+  obs::JsonWriter w;
+  w.BeginObject().Field("event", "slo_dump_error").Field("path", path);
+  Emit(w.EndObject().str());
 }
 
 void SloWatchdog::OnScrape(uint64_t scrape) {
@@ -91,14 +88,19 @@ void SloWatchdog::OnScrape(uint64_t scrape) {
     healthy_streak_ = 0;  // Hysteresis band: hold the current level.
   }
 
-  auto fields = [&](const std::string& event) {
-    return "{\"event\":\"" + event + "\",\"scrape\":" + std::to_string(scrape) +
-           ",\"level\":" + std::to_string(level_) +
-           ",\"requests\":" + std::to_string(requests) +
-           ",\"over_target\":" + std::to_string(over) +
-           ",\"burn\":" + FormatDouble(burn) +
-           ",\"p99_over_target\":" + (p99_over ? "true" : "false") +
-           ",\"target_ms\":" + FormatDouble(options_.p99_target_ms) + "}";
+  auto fields = [&](const char* event) {
+    obs::JsonWriter w;
+    w.BeginObject()
+        .Field("event", event)
+        .Field("scrape", scrape)
+        .Field("level", level_)
+        .Field("requests", requests)
+        .Field("over_target", over)
+        .Field("burn", burn)
+        .Field("p99_over_target", p99_over)
+        .Field("target_ms", options_.p99_target_ms)
+        .EndObject();
+    return w.str();
   };
   if (level_ != old_level) {
     service_->SetDegradation(level_);
@@ -124,21 +126,13 @@ void SloWatchdog::DumpForensics(uint64_t scrape, int level, int prev_level,
     trip.prev_level = prev_level;
     std::string dump = ForensicDumpJson(trip, service_->BillsSince(window_start),
                                         ring, options_.dump_top_k);
-    std::FILE* f = std::fopen(options_.dump_path.c_str(), "wb");
-    if (f != nullptr) {
-      std::fwrite(dump.data(), 1, dump.size(), f);
-      std::fclose(f);
-    } else {
-      Emit("{\"event\":\"slo_dump_error\",\"path\":\"" + options_.dump_path +
-           "\"}");
+    if (!obs::WriteJsonFile(options_.dump_path, dump).ok()) {
+      EmitDumpError(options_.dump_path);
     }
   }
-  if (!options_.perfetto_path.empty()) {
-    Status s = WriteFlightsTrace(options_.perfetto_path, ring);
-    if (!s.ok()) {
-      Emit("{\"event\":\"slo_dump_error\",\"path\":\"" +
-           options_.perfetto_path + "\"}");
-    }
+  if (!options_.perfetto_path.empty() &&
+      !WriteFlightsTrace(options_.perfetto_path, ring).ok()) {
+    EmitDumpError(options_.perfetto_path);
   }
 }
 

@@ -82,6 +82,7 @@ class SloWatchdog {
  private:
   void OnScrape(uint64_t scrape);
   void Emit(const std::string& line);
+  void EmitDumpError(const std::string& path);
 
   const SloOptions options_;
   obs::TelemetryRegistry* const telemetry_;

@@ -3,6 +3,7 @@
 #include "cli/cli.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -209,6 +210,7 @@ TEST(CliTest, RunWithExplainWritesAttributionAndPrintsMarkdown) {
   EXPECT_NE(out.find("-bound"), std::string::npos);
 
   std::string json = Slurp(explain);
+  EXPECT_TRUE(testutil::JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"rows\""), std::string::npos);
   EXPECT_NE(json.find("\"critical_wire_seconds\""), std::string::npos);
   EXPECT_NE(json.find("\"what_if\""), std::string::npos);
@@ -232,7 +234,10 @@ TEST(CliTest, RunMetricsJsonIncludesAttributionBlock) {
                   .ok())
       << out;
   std::string json = Slurp(metrics);
+  EXPECT_TRUE(testutil::JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"resource\""), std::string::npos);
+  EXPECT_NE(json.find("\"counters\""), std::string::npos);
+  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"attribution\""), std::string::npos);
   EXPECT_NE(json.find("\"components\""), std::string::npos);
   EXPECT_NE(json.find("\"verdict\""), std::string::npos);
@@ -260,6 +265,28 @@ TEST(CliTest, TraceIncludesCriticalPathTrack) {
   EXPECT_NE(json.find("\"binding_rank\""), std::string::npos);
   std::remove(graph.c_str());
   std::remove(trace.c_str());
+}
+
+// A malformed MAZE_FAULTS is an INVALID_ARGUMENT status from run and serve,
+// never an abort, even when --faults would override it.
+TEST(CliTest, MalformedFaultsEnvIsInvalidArgument) {
+  ASSERT_EQ(::setenv("MAZE_FAULTS", "bogus", 1), 0);
+  std::string out;
+  Status alone =
+      RunCli({"run", "--engine", "native", "--algo", "pagerank", "--dataset",
+              "rmat"},
+             &out);
+  Status with_flag =
+      RunCli({"run", "--engine", "native", "--algo", "pagerank", "--dataset",
+              "rmat", "--faults=seed=1"},
+             &out);
+  Status serve = RunCli({"serve", "--script", "/nonexistent"}, &out);
+  ::unsetenv("MAZE_FAULTS");
+  EXPECT_EQ(alone.code(), StatusCode::kInvalidArgument) << alone.ToString();
+  EXPECT_NE(alone.message().find("MAZE_FAULTS"), std::string::npos);
+  EXPECT_EQ(with_flag.code(), StatusCode::kInvalidArgument)
+      << with_flag.ToString();
+  EXPECT_EQ(serve.code(), StatusCode::kInvalidArgument) << serve.ToString();
 }
 
 TEST(CliTest, RunNeedsInputOrDataset) {
@@ -410,7 +437,7 @@ TEST(CliTest, ServeRunsScriptAndWritesReport) {
   EXPECT_NE(out.find("[0] ok pagerank"), std::string::npos) << out;
   EXPECT_NE(out.find("# Service report"), std::string::npos) << out;
   std::string json = Slurp(report_path);
-  EXPECT_NE(json.find("\"submitted\": 2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"submitted\":2"), std::string::npos) << json;
   std::remove(script_path.c_str());
   std::remove(report_path.c_str());
 }
@@ -514,8 +541,8 @@ TEST(CliTest, ServeSloDumpWritesForensicsOnTrip) {
       << out;
   std::string dump = Slurp(dump_path);
   EXPECT_TRUE(testutil::JsonChecker(dump).Valid()) << dump;
-  EXPECT_NE(dump.find("\"event\": \"slo_trip\""), std::string::npos) << dump;
-  EXPECT_NE(dump.find("\"request_id\": 1"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\"event\":\"slo_trip\""), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\"request_id\":1"), std::string::npos) << dump;
   std::remove(script_path.c_str());
   std::remove(dump_path.c_str());
 

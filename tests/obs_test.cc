@@ -2,11 +2,16 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench_support/artifact.h"
 #include "obs/counters.h"
 #include "obs/export.h"
 #include "obs/json.h"
@@ -261,6 +266,192 @@ TEST_F(ObsTest, ResetAllClearsEverything) {
   EXPECT_TRUE(SnapshotEvents().empty());
   EXPECT_EQ(GetCounter("test.c").value(), 0u);
   EXPECT_EQ(GetHistogram("test.h").count(), 0u);
+}
+
+TEST(JsonWriterTest, EscapesQuotesAndControlBytes) {
+  JsonWriter w;
+  w.BeginObject()
+      .Field("q\"k", "a\"b\\c")
+      .Field("ctl", std::string("\n\t\x01\x1f\0z", 6))
+      .EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"q\\\"k\":\"a\\\"b\\\\c\",\"ctl\":\"\\n\\t\\u0001\\u001f"
+            "\\u0000z\"}");
+  EXPECT_TRUE(JsonChecker(w.str()).Valid());
+}
+
+TEST(JsonWriterTest, CommasInNestedAndEmptyContainers) {
+  JsonWriter w;
+  w.BeginObject()
+      .BeginObject("empty_obj")
+      .EndObject()
+      .BeginArray("empty_arr")
+      .EndArray()
+      .BeginArray("nested")
+      .BeginArray()
+      .EndArray()
+      .BeginObject()
+      .Field("a", 1)
+      .BeginArray("b")
+      .Value(2)
+      .BeginObject()
+      .EndObject()
+      .Value("s")
+      .EndArray()
+      .EndObject()
+      .Raw("{\"raw\":true}")
+      .Null()
+      .EndArray()
+      .Field("last", false)
+      .EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"empty_obj\":{},\"empty_arr\":[],\"nested\":[[],{\"a\":1,"
+            "\"b\":[2,{},\"s\"]},{\"raw\":true},null],\"last\":false}");
+  EXPECT_TRUE(JsonChecker(w.str()).Valid());
+  EXPECT_EQ(JsonWriter().BeginArray().EndArray().str(), "[]");
+}
+
+TEST(JsonWriterTest, IntegersAreExact) {
+  JsonWriter w;
+  w.BeginArray()
+      .Value(std::numeric_limits<uint64_t>::max())
+      .Value(std::numeric_limits<int64_t>::min())
+      .Value(0)
+      .Value(-7)
+      .Value(true)
+      .EndArray();
+  EXPECT_EQ(w.str(),
+            "[18446744073709551615,-9223372036854775808,0,-7,true]");
+}
+
+TEST(JsonWriterTest, DoublesRoundTripBitExact) {
+  const double values[] = {0.0,
+                           -0.0,
+                           1.0,
+                           0.1,
+                           0.1 + 0.2,
+                           1.0 / 3.0,
+                           3 * 1e-4,
+                           1e-300,
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           123456789.123456789,
+                           -2.5e17,
+                           6.02214076e23};
+  for (double v : values) {
+    JsonWriter w;
+    w.Value(v);
+    const std::string text = w.str();
+    EXPECT_TRUE(JsonChecker(text).Valid()) << text;
+    char* end = nullptr;
+    const double back = std::strtod(text.c_str(), &end);
+    EXPECT_EQ(*end, '\0') << text;
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof(v)), 0) << text;
+    // Equal doubles give equal bytes.
+    JsonWriter again;
+    again.Value(back);
+    EXPECT_EQ(again.str(), text);
+  }
+  JsonWriter w;
+  w.BeginArray()
+      .Value(std::numeric_limits<double>::infinity())
+      .Value(std::nan(""))
+      .Value(2.0)
+      .EndArray();
+  EXPECT_EQ(w.str(), "[null,null,2]");
+}
+
+TEST(JsonWriterTest, WriteJsonFileAppendsNewlineAndReportsFailure) {
+  const std::string path = testing::TempDir() + "/json_writer_test.json";
+  ASSERT_TRUE(WriteJsonFile(path, "{}").ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[8] = {};
+  EXPECT_EQ(std::fread(buf, 1, sizeof(buf), f), 3u);
+  std::fclose(f);
+  EXPECT_STREQ(buf, "{}\n");
+  std::remove(path.c_str());
+  EXPECT_EQ(WriteJsonFile("/nonexistent-dir/x.json", "{}").code(),
+            StatusCode::kIoError);
+}
+
+// Sets an environment variable for one scope and restores the previous value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    if (old != nullptr) old_ = old;
+    had_ = old != nullptr;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_, old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::string old_;
+  bool had_ = false;
+};
+
+std::string SlurpFile(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[4096];
+  for (size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    out.append(buf, n);
+  }
+  std::fclose(f);
+  return out;
+}
+
+TEST(BenchArtifactTest, EmptyBenchJsonMeansDefaultName) {
+  {
+    ScopedEnv env("MAZE_BENCH_JSON", "");
+    EXPECT_EQ(bench::BenchJsonPath("BENCH_x.json"), "BENCH_x.json");
+  }
+  {
+    ScopedEnv env("MAZE_BENCH_JSON", "/some/where.json");
+    EXPECT_EQ(bench::BenchJsonPath("BENCH_x.json"), "/some/where.json");
+  }
+  ::unsetenv("MAZE_BENCH_JSON");
+  EXPECT_EQ(bench::BenchJsonPath("BENCH_x.json"), "BENCH_x.json");
+}
+
+TEST(BenchArtifactTest, WritesCommonFieldsViolationsAndOk) {
+  const std::string path = testing::TempDir() + "/bench_artifact_test.json";
+  ScopedEnv out("MAZE_BENCH_JSON", path.c_str());
+  ScopedEnv scale("MAZE_SCALE_ADJUST", "-4");
+
+  bench::BenchArtifact failed("BENCH_unused.json", "unit");
+  failed.json().Field("rows", 3);
+  failed.Fail("gate %d broke: \"%s\"", 7, "why");
+  EXPECT_EQ(failed.Finish(), 1);
+  std::string json = SlurpFile(path);
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_EQ(json,
+            "{\"bench\":\"unit\",\"scale_adjust\":-4,\"rows\":3,"
+            "\"violations\":[\"gate 7 broke: \\\"why\\\"\"],\"ok\":false}\n");
+
+  // No bench name: no common fields, and a clean run exits 0.
+  bench::BenchArtifact clean("BENCH_unused.json", "");
+  clean.json().Key("resource").Raw("{\"rows\":[]}");
+  EXPECT_EQ(clean.Finish(), 0);
+  EXPECT_EQ(SlurpFile(path),
+            "{\"resource\":{\"rows\":[]},\"violations\":[],\"ok\":true}\n");
+  std::remove(path.c_str());
+}
+
+TEST(BenchArtifactTest, UnwritablePathIsNonZeroExit) {
+  ScopedEnv out("MAZE_BENCH_JSON", "/nonexistent-dir/BENCH_x.json");
+  bench::BenchArtifact artifact("BENCH_x.json", "unit");
+  EXPECT_EQ(artifact.Finish(), 1);
 }
 
 }  // namespace

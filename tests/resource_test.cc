@@ -372,7 +372,7 @@ TEST_F(ResourceTest, ResourceReportJsonAndMarkdown) {
 
   std::string json = report.ToJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  EXPECT_NE(json.find("\"footprint_bytes\": 16777216"), std::string::npos);
+  EXPECT_NE(json.find("\"footprint_bytes\":16777216"), std::string::npos);
 
   std::string md = report.ToMarkdown();
   EXPECT_NE(md.find("### Resource report: pagerank \"quoted\""),

@@ -1190,10 +1190,17 @@ TEST(ServiceBillTest, ReportRendersLedgerAndTopBills) {
   EXPECT_TRUE(testutil::JsonChecker(report.ToJson()).Valid())
       << report.ToJson();
   EXPECT_NE(report.ToJson().find("\"bills\""), std::string::npos);
-  EXPECT_NE(report.ToJson().find("\"conserved\": true"), std::string::npos)
+  EXPECT_NE(report.ToJson().find("\"conserved\":true"), std::string::npos)
       << report.ToJson();
   EXPECT_EQ(report.bills.flights.entries, 1u);
   EXPECT_EQ(report.bills.billed.entries, 2u);
+  EXPECT_TRUE(testutil::JsonChecker(report.bills.flights.ToJson()).Valid());
+  for (const QueryBill& b : report.top_bills) {
+    for (bool canonical_only : {false, true}) {
+      const std::string bill = BillJson(b, canonical_only);
+      EXPECT_TRUE(testutil::JsonChecker(bill).Valid()) << bill;
+    }
+  }
   ASSERT_FALSE(report.top_bills.empty());
   EXPECT_EQ(report.top_bills[0].request_id, 1u)
       << "the fresh execution outranks its zero-cost cache hit";
@@ -1216,7 +1223,7 @@ bills top=2
   ASSERT_TRUE(s.ok()) << s.ToString();
   const std::string text = out.str();
   EXPECT_NE(text.find("conserved=yes"), std::string::npos) << text;
-  EXPECT_NE(text.find("bill[0] {\"request_id\": "), std::string::npos) << text;
+  EXPECT_NE(text.find("bill[0] {\"request_id\":"), std::string::npos) << text;
   EXPECT_NE(text.find("bill[1] "), std::string::npos) << text;
   EXPECT_EQ(text.find("bill[2] "), std::string::npos) << "top=2 bounds";
   // iterations=5 costs more than iterations=3 in the canonical rank.
@@ -1271,19 +1278,19 @@ TEST(SloWatchdogTest, EscalationWritesForensicDump) {
   buffer << in.rdbuf();
   const std::string dump = buffer.str();
   EXPECT_TRUE(testutil::JsonChecker(dump).Valid()) << dump;
-  EXPECT_NE(dump.find("\"event\": \"slo_trip\""), std::string::npos) << dump;
-  EXPECT_NE(dump.find("\"level\": 2"), std::string::npos);
+  EXPECT_NE(dump.find("\"event\":\"slo_trip\""), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\"level\":2"), std::string::npos);
   // The tripping window holds all three bills; the top array names the
   // heaviest request ids (iterations=3 then iterations=2).
   for (uint64_t id : ids) {
-    EXPECT_NE(dump.find("\"request_id\": " + std::to_string(id)),
+    EXPECT_NE(dump.find("\"request_id\":" + std::to_string(id)),
               std::string::npos)
         << dump;
   }
   size_t top_pos = dump.find("\"top\"");
   ASSERT_NE(top_pos, std::string::npos);
-  EXPECT_LT(dump.find("\"request_id\": " + std::to_string(ids[2]), top_pos),
-            dump.find("\"request_id\": " + std::to_string(ids[1]), top_pos))
+  EXPECT_LT(dump.find("\"request_id\":" + std::to_string(ids[2]), top_pos),
+            dump.find("\"request_id\":" + std::to_string(ids[1]), top_pos))
       << "top array must rank the costliest query first:\n" << dump;
   // Wall-clock fields stay out of the deterministic artifact.
   EXPECT_EQ(dump.find("wall_seconds"), std::string::npos);
